@@ -86,8 +86,8 @@ impl<K, V> Default for ClockShard<K, V> {
 /// slots it finds unmarked, so anything touched since the hand's last
 /// sweep survives one extra revolution.
 ///
-/// Hit/miss/eviction/resident-bytes counters are maintained internally on
-/// facade atomics so the statistics stay exact under concurrent clients —
+/// Hit/miss/eviction/bypass/resident-bytes counters are maintained
+/// internally on facade atomics so the statistics stay exact under concurrent clients —
 /// the invariant the `skyweb-check` explorer pins is
 /// `resident == Σ slot costs` across every reachable interleaving.
 pub struct ClockCacheCore<S: SyncFacade, K: Send, V: Send> {
@@ -96,6 +96,7 @@ pub struct ClockCacheCore<S: SyncFacade, K: Send, V: Send> {
     hits: S::AtomicU64,
     misses: S::AtomicU64,
     evictions: S::AtomicU64,
+    bypasses: S::AtomicU64,
     resident: S::AtomicU64,
     racy: bool,
 }
@@ -118,6 +119,9 @@ pub struct CacheAudit {
     pub misses: u64,
     /// Lifetime eviction count.
     pub evictions: u64,
+    /// Lifetime count of values served uncached because their cost
+    /// exceeded the shard budget.
+    pub bypasses: u64,
 }
 
 impl<S, K, V> ClockCacheCore<S, K, V>
@@ -140,6 +144,7 @@ where
             hits: S::AtomicU64::new(0),
             misses: S::AtomicU64::new(0),
             evictions: S::AtomicU64::new(0),
+            bypasses: S::AtomicU64::new(0),
             resident: S::AtomicU64::new(0),
             racy,
         }
@@ -187,11 +192,13 @@ where
 
     /// Inserts `value` under `key` into `shard`, evicting by clock as
     /// needed, and returns the canonical resident copy. A value whose
-    /// `cost` exceeds the shard budget is served back uncached; a key
-    /// already resident returns the existing copy unchanged.
+    /// `cost` exceeds the shard budget is served back uncached and counted
+    /// as a bypass; a key already resident returns the existing copy
+    /// unchanged.
     pub fn insert(&self, shard: usize, key: K, value: V, cost: u64) -> V {
         if cost > self.shard_budget {
             // Too large to ever stay resident: serve uncached.
+            counter_add(&self.bypasses, 1, self.racy);
             return value;
         }
         self.shards[shard % self.shards.len()].with(|s| {
@@ -244,6 +251,12 @@ where
         self.evictions.load()
     }
 
+    /// Lifetime count of inserts served uncached because their cost
+    /// exceeded the shard budget.
+    pub fn bypass_count(&self) -> u64 {
+        self.bypasses.load()
+    }
+
     /// Current resident-bytes counter.
     pub fn resident_bytes(&self) -> u64 {
         self.resident.load()
@@ -277,6 +290,7 @@ where
             hits: self.hits.load(),
             misses: self.misses.load(),
             evictions: self.evictions.load(),
+            bypasses: self.bypasses.load(),
         }
     }
 }
@@ -439,6 +453,9 @@ mod tests {
         assert_eq!(cache.insert(0, 9, 99, 3), 99);
         assert!(!cache.contains(0, 9));
         assert_eq!(cache.audit().slots, 0);
+        assert_eq!(cache.bypass_count(), 1);
+        cache.insert(0, 8, 88, 2);
+        assert_eq!(cache.audit().bypasses, 1, "a value that fits is no bypass");
     }
 
     #[test]

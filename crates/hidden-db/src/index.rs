@@ -50,7 +50,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::dominance::DominanceIndex;
 use crate::predicate::PrefixGroup;
-use crate::segment::{SegmentError, SegmentReader};
+use crate::segment::{ChunkPins, SegmentError, SegmentReader};
 use crate::store::TupleStore;
 use crate::{
     AttrId, CmpOp, HiddenDb, Predicate, Query, QueryError, QueryResponse, Ranker, Schema, Tuple,
@@ -232,28 +232,9 @@ pub(crate) struct Scratch {
     hits: Vec<u32>,
     /// Per-chunk match bitset of the compressed-domain store scan.
     words: Vec<u64>,
-}
-
-/// One zone block's rank-ordered column values: borrowed straight out of a
-/// RAM index, or a refcounted chunk plus offsets from a segment reader
-/// (whose bounded cache may evict the chunk, so a plain borrow cannot cross
-/// the accessor boundary).
-enum ColBlock<'a> {
-    Borrowed(&'a [Value]),
-    Shared {
-        chunk: Arc<[u32]>,
-        start: usize,
-        len: usize,
-    },
-}
-
-impl ColBlock<'_> {
-    fn as_slice(&self) -> &[Value] {
-        match self {
-            ColBlock::Borrowed(s) => s,
-            ColBlock::Shared { chunk, start, len } => &chunk[*start..*start + *len],
-        }
-    }
+    /// Segment chunks pinned for the current query (or plan group);
+    /// cleared before [`QueryIndex::execute`] and [`execute_plan`] return.
+    pins: ChunkPins,
 }
 
 /// The per-database index: rank permutation + zone maps + posting lists,
@@ -393,57 +374,60 @@ impl QueryIndex {
         }
     }
 
+    // The per-value accessors below take the query's pin table: the RAM
+    // backend ignores it, the segment backend reads its chunks through it.
+
     /// Store index of the tuple at rank `rank`.
-    fn perm_at(&self, rank: usize) -> Result<u32, SegmentError> {
+    fn perm_at(&self, pins: &mut ChunkPins, rank: usize) -> Result<u32, SegmentError> {
         match &self.backend {
             IndexBackend::Ram(r) => {
                 Ok(r.perm.as_ref().expect("perm_at requires a rank order")[rank])
             }
-            IndexBackend::Segment(s) => s.perm_at(rank),
+            IndexBackend::Segment(s) => s.perm_at(pins, rank),
         }
     }
 
     /// Rank position of the tuple at store index `idx`.
-    fn rank_of_at(&self, idx: usize) -> Result<u32, SegmentError> {
+    fn rank_of_at(&self, pins: &mut ChunkPins, idx: usize) -> Result<u32, SegmentError> {
         match &self.backend {
             IndexBackend::Ram(r) => Ok(r.rank_of[idx]),
-            IndexBackend::Segment(s) => s.rank_of_at(idx),
+            IndexBackend::Segment(s) => s.rank_of_at(pins, idx),
         }
     }
 
     /// Value of the rank-`rank` tuple on `attr` (rank-ordered column).
-    fn rank_value_at(&self, attr: AttrId, rank: usize) -> Result<Value, SegmentError> {
+    fn rank_value_at(
+        &self,
+        pins: &mut ChunkPins,
+        attr: AttrId,
+        rank: usize,
+    ) -> Result<Value, SegmentError> {
         match &self.backend {
             IndexBackend::Ram(r) => Ok(r
                 .zones
                 .as_ref()
                 .expect("rank columns require a rank order")
                 .cols[attr][rank]),
-            IndexBackend::Segment(s) => s.rank_value_at(attr, rank),
+            IndexBackend::Segment(s) => s.rank_value_at(pins, attr, rank),
         }
     }
 
     /// The contiguous rank-ordered column values of zone block `b` on
     /// `attr` (`len` values).
-    fn rank_col_block(
-        &self,
+    fn rank_col_block<'a>(
+        &'a self,
+        pins: &'a mut ChunkPins,
         attr: AttrId,
         b: usize,
         len: usize,
-    ) -> Result<ColBlock<'_>, SegmentError> {
+    ) -> Result<&'a [Value], SegmentError> {
         match &self.backend {
             IndexBackend::Ram(r) => {
                 let z = r.zones.as_ref().expect("rank columns require a rank order");
                 let base = b * BLOCK;
-                Ok(ColBlock::Borrowed(&z.cols[attr][base..base + len]))
+                Ok(&z.cols[attr][base..base + len])
             }
-            IndexBackend::Segment(s) => {
-                if let Some(block) = s.rank_col_block_sticky(attr, b, len) {
-                    return Ok(ColBlock::Borrowed(block));
-                }
-                let (chunk, start) = s.rank_col_chunk(attr, b)?;
-                Ok(ColBlock::Shared { chunk, start, len })
-            }
+            IndexBackend::Segment(s) => s.rank_col_block(pins, attr, b, len),
         }
     }
 
@@ -452,12 +436,13 @@ impl QueryIndex {
     fn value_at(
         &self,
         store: &TupleStore,
+        pins: &mut ChunkPins,
         idx: usize,
         attr: AttrId,
     ) -> Result<Value, SegmentError> {
         match &self.backend {
             IndexBackend::Ram(_) => Ok(store[idx].values[attr]),
-            IndexBackend::Segment(s) => s.store_value_at(attr, idx),
+            IndexBackend::Segment(s) => s.store_value_at(pins, attr, idx),
         }
     }
 
@@ -466,6 +451,7 @@ impl QueryIndex {
     fn within_bounds_at(
         &self,
         store: &TupleStore,
+        pins: &mut ChunkPins,
         idx: usize,
         cons: &[(AttrId, Value, Value)],
     ) -> Result<bool, SegmentError> {
@@ -473,7 +459,7 @@ impl QueryIndex {
             IndexBackend::Ram(_) => Ok(store[idx].within_bounds(cons)),
             IndexBackend::Segment(s) => {
                 for &(attr, lo, hi) in cons {
-                    let v = s.store_value_at(attr, idx)?;
+                    let v = s.store_value_at(pins, attr, idx)?;
                     if v < lo || v > hi {
                         return Ok(false);
                     }
@@ -485,13 +471,14 @@ impl QueryIndex {
 
     /// Walks `attr`'s posting order over `[lo, hi]`: store indices,
     /// ascending within each value bucket — identical iteration order on
-    /// both backends.
+    /// both backends. `f` gets the pin table with each index.
     fn for_posting(
         &self,
+        pins: &mut ChunkPins,
         attr: AttrId,
         lo: Value,
         hi: Value,
-        f: &mut dyn FnMut(u32) -> Result<(), SegmentError>,
+        f: &mut dyn FnMut(&mut ChunkPins, u32) -> Result<(), SegmentError>,
     ) -> Result<(), SegmentError> {
         if lo > hi {
             return Ok(());
@@ -501,11 +488,11 @@ impl QueryIndex {
                 let p = &r.postings[attr];
                 let range = p.starts[lo as usize] as usize..p.starts[hi as usize + 1] as usize;
                 for &idx in &p.order[range] {
-                    f(idx)?;
+                    f(pins, idx)?;
                 }
                 Ok(())
             }
-            IndexBackend::Segment(s) => s.for_posting(attr, lo, hi, f),
+            IndexBackend::Segment(s) => s.for_posting(pins, attr, lo, hi, f),
         }
     }
 
@@ -540,11 +527,13 @@ impl QueryIndex {
     /// block's i-th member lies inside every bound; a bound the whole block
     /// provably satisfies needs no lane pass). Lanes are rank-ordered, so
     /// consuming set bits low-to-high walks candidates best-ranked first.
-    /// Stops early when `emit` returns `Ok(false)`.
+    /// Stops early when `emit` returns `Ok(false)`; `emit` gets the pin
+    /// table back with each block.
     fn for_each_matching_block(
         &self,
+        pins: &mut ChunkPins,
         cons: &[(AttrId, Value, Value)],
-        emit: &mut dyn FnMut(usize, u64) -> Result<bool, SegmentError>,
+        emit: &mut dyn FnMut(&mut ChunkPins, usize, u64) -> Result<bool, SegmentError>,
     ) -> Result<(), SegmentError> {
         let blocks = self.n.div_ceil(BLOCK);
         for b in 0..blocks {
@@ -570,9 +559,9 @@ impl QueryIndex {
                 if bmin >= lo && bmax <= hi {
                     continue;
                 }
-                let col = self.rank_col_block(attr, b, len)?;
+                let col = self.rank_col_block(pins, attr, b, len)?;
                 let mut m = 0u64;
-                for (lane, &v) in col.as_slice().iter().enumerate() {
+                for (lane, &v) in col.iter().enumerate() {
                     m |= u64::from(v >= lo && v <= hi) << lane;
                 }
                 mask &= m;
@@ -580,7 +569,7 @@ impl QueryIndex {
                     break;
                 }
             }
-            if mask != 0 && !emit(base, mask)? {
+            if mask != 0 && !emit(pins, base, mask)? {
                 return Ok(());
             }
         }
@@ -605,6 +594,23 @@ impl QueryIndex {
         need_matched: bool,
         scratch: &mut Scratch,
     ) -> Result<ExecOutcome, SegmentError> {
+        let out = self.execute_pinned(query, k, store, schema, ranker, need_matched, scratch);
+        scratch.pins.clear();
+        out
+    }
+
+    /// [`QueryIndex::execute`] without the final unpinning.
+    #[allow(clippy::too_many_arguments)]
+    fn execute_pinned(
+        &self,
+        query: &Query,
+        k: usize,
+        store: &TupleStore,
+        schema: &Schema,
+        ranker: &dyn Ranker,
+        need_matched: bool,
+        scratch: &mut Scratch,
+    ) -> Result<ExecOutcome, SegmentError> {
         let Some(best) = self.plan(query, schema, &mut scratch.bounds, &mut scratch.cons) else {
             return Ok(ExecOutcome {
                 returned: Vec::new(),
@@ -620,7 +626,7 @@ impl QueryIndex {
                 let take = k.min(self.n);
                 let mut returned = Vec::with_capacity(take);
                 for r in 0..take {
-                    returned.push(store.try_share(self.perm_at(r)? as usize)?);
+                    returned.push(store.try_share(self.perm_at(&mut scratch.pins, r)? as usize)?);
                 }
                 Ok(ExecOutcome {
                     returned,
@@ -651,19 +657,13 @@ impl QueryIndex {
                 // resident forever, so the posting walk is cheaper and the
                 // plan stays on it.
                 if !need_matched && count * BLOCK_SCAN_CROSSOVER_DEN >= self.n {
-                    self.rank_scan(k, store, &scratch.cons)
+                    self.rank_scan(k, store, scratch)
                 } else if count * BLOCK_SCAN_CROSSOVER_DEN >= self.n
                     && self.compressed_scan_available()
                 {
-                    self.compressed_topk(
-                        k,
-                        store,
-                        &scratch.cons,
-                        &mut scratch.hits,
-                        &mut scratch.words,
-                    )
+                    self.compressed_topk(k, store, scratch)
                 } else {
-                    self.posting_topk(k, store, &scratch.cons, best_pos, &mut scratch.hits)
+                    self.posting_topk(k, store, best_pos, scratch)
                 }
             }
             // No precomputed order (randomized / adversarial rankers): defer
@@ -722,12 +722,13 @@ impl QueryIndex {
         &self,
         k: usize,
         store: &TupleStore,
-        cons: &[(AttrId, Value, Value)],
+        scratch: &mut Scratch,
     ) -> Result<ExecOutcome, SegmentError> {
         let mut returned = Vec::with_capacity(k.min(16));
         let mut seen = 0usize;
         let mut overflowed = false;
-        self.for_each_matching_block(cons, &mut |base, mut mask| {
+        let Scratch { cons, pins, .. } = scratch;
+        self.for_each_matching_block(pins, cons, &mut |pins, base, mut mask| {
             // Consuming set bits low-to-high preserves the answer order of
             // the old tuple-at-a-time walk exactly.
             while mask != 0 {
@@ -739,7 +740,7 @@ impl QueryIndex {
                     overflowed = true;
                     return Ok(false);
                 }
-                returned.push(store.try_share(self.perm_at(base + lane)? as usize)?);
+                returned.push(store.try_share(self.perm_at(pins, base + lane)? as usize)?);
             }
             Ok(true)
         })?;
@@ -765,13 +766,15 @@ impl QueryIndex {
         &self,
         k: usize,
         store: &TupleStore,
-        cons: &[(AttrId, Value, Value)],
         best_pos: usize,
-        hits: &mut Vec<u32>,
+        scratch: &mut Scratch,
     ) -> Result<ExecOutcome, SegmentError> {
+        let Scratch {
+            cons, hits, pins, ..
+        } = scratch;
         let (attr, lo, hi) = cons[best_pos];
         hits.clear();
-        self.for_posting(attr, lo, hi, &mut |idx| {
+        self.for_posting(pins, attr, lo, hi, &mut |pins, idx| {
             // The posting range already guarantees the best attribute's
             // bounds; check the others.
             let mut ok = true;
@@ -779,14 +782,14 @@ impl QueryIndex {
                 if i == best_pos {
                     continue;
                 }
-                let v = self.value_at(store, idx as usize, a)?;
+                let v = self.value_at(store, pins, idx as usize, a)?;
                 if v < lo || v > hi {
                     ok = false;
                     break;
                 }
             }
             if ok {
-                hits.push(self.rank_of_at(idx as usize)?);
+                hits.push(self.rank_of_at(pins, idx as usize)?);
             }
             Ok(())
         })?;
@@ -801,7 +804,7 @@ impl QueryIndex {
         hits.sort_unstable();
         let mut returned = Vec::with_capacity(hits.len());
         for &rank in hits.iter() {
-            returned.push(store.try_share(self.perm_at(rank as usize)? as usize)?);
+            returned.push(store.try_share(self.perm_at(pins, rank as usize)? as usize)?);
         }
         Ok(ExecOutcome {
             returned,
@@ -832,16 +835,21 @@ impl QueryIndex {
         &self,
         k: usize,
         store: &TupleStore,
-        cons: &[(AttrId, Value, Value)],
-        hits: &mut Vec<u32>,
-        words: &mut Vec<u64>,
+        scratch: &mut Scratch,
     ) -> Result<ExecOutcome, SegmentError> {
         let IndexBackend::Segment(s) = &self.backend else {
             unreachable!("compressed scans require the segment backend");
         };
+        let Scratch {
+            cons,
+            hits,
+            words,
+            pins,
+            ..
+        } = scratch;
         hits.clear();
         s.filter_store_compressed(cons, words, &mut |idx| {
-            hits.push(self.rank_of_at(idx as usize)?);
+            hits.push(self.rank_of_at(pins, idx as usize)?);
             Ok(())
         })?;
         let matched = hits.len();
@@ -853,7 +861,7 @@ impl QueryIndex {
         hits.sort_unstable();
         let mut returned = Vec::with_capacity(hits.len());
         for &rank in hits.iter() {
-            returned.push(store.try_share(self.perm_at(rank as usize)? as usize)?);
+            returned.push(store.try_share(self.perm_at(pins, rank as usize)? as usize)?);
         }
         Ok(ExecOutcome {
             returned,
@@ -878,13 +886,15 @@ impl QueryIndex {
         best: Option<(usize, usize)>,
         scratch: &mut Scratch,
     ) -> Result<ExecOutcome, SegmentError> {
-        let Scratch { cons, hits, .. } = scratch;
+        let Scratch {
+            cons, hits, pins, ..
+        } = scratch;
         hits.clear();
         match best {
             Some((_, best_pos)) => {
                 let (attr, lo, hi) = cons[best_pos];
-                self.for_posting(attr, lo, hi, &mut |idx| {
-                    if self.within_bounds_at(store, idx as usize, cons)? {
+                self.for_posting(pins, attr, lo, hi, &mut |pins, idx| {
+                    if self.within_bounds_at(store, pins, idx as usize, cons)? {
                         hits.push(idx);
                     }
                     Ok(())
@@ -958,6 +968,7 @@ impl QueryIndex {
         group_len: usize,
         store: &TupleStore,
         schema: &Schema,
+        pins: &mut ChunkPins,
     ) -> Result<SharedGroup, SegmentError> {
         let mut bounds = Vec::new();
         if !fold_bounds(prefix, schema, &mut bounds) {
@@ -996,10 +1007,10 @@ impl QueryIndex {
             // candidates once for the whole group.
             let (attr, lo, hi) = cons[best_pos];
             let mut hits = Vec::with_capacity(count);
-            self.for_posting(attr, lo, hi, &mut |idx| {
-                if self.within_bounds_at(store, idx as usize, &cons)? {
+            self.for_posting(pins, attr, lo, hi, &mut |pins, idx| {
+                if self.within_bounds_at(store, pins, idx as usize, &cons)? {
                     hits.push(if ranked {
-                        self.rank_of_at(idx as usize)?
+                        self.rank_of_at(pins, idx as usize)?
                     } else {
                         idx
                     });
@@ -1033,7 +1044,7 @@ impl QueryIndex {
             // walk the rank scan uses, without early termination): the
             // collected rank positions arrive already sorted.
             let mut hits = Vec::new();
-            self.for_each_matching_block(&cons, &mut |base, mut mask| {
+            self.for_each_matching_block(pins, &cons, &mut |_, base, mut mask| {
                 while mask != 0 {
                     let lane = mask.trailing_zeros() as usize;
                     mask &= mask - 1;
@@ -1047,7 +1058,7 @@ impl QueryIndex {
             // box-membership pass, amortized over the group.
             let mut hits = Vec::new();
             for idx in 0..self.n as u32 {
-                if self.within_bounds_at(store, idx as usize, &cons)? {
+                if self.within_bounds_at(store, pins, idx as usize, &cons)? {
                     hits.push(idx);
                 }
             }
@@ -1123,7 +1134,7 @@ impl QueryIndex {
                 let r = r as usize;
                 let mut ok = true;
                 for &(attr, lo, hi) in scratch.cons.iter() {
-                    let v = self.rank_value_at(attr, r)?;
+                    let v = self.rank_value_at(&mut scratch.pins, attr, r)?;
                     if v < lo || v > hi {
                         ok = false;
                         break;
@@ -1134,7 +1145,7 @@ impl QueryIndex {
                 }
                 seen += 1;
                 if seen <= k {
-                    returned.push(store.try_share(self.perm_at(r)? as usize)?);
+                    returned.push(store.try_share(self.perm_at(&mut scratch.pins, r)? as usize)?);
                 } else if !need_matched {
                     return Ok(ExecOutcome {
                         returned,
@@ -1153,10 +1164,15 @@ impl QueryIndex {
             // store order, as the sequential fallback materializes it) to
             // the ranker, offering the same precomputed dominance index.
             {
-                let hits_out = &mut scratch.hits;
+                let Scratch {
+                    cons,
+                    hits: hits_out,
+                    pins,
+                    ..
+                } = scratch;
                 hits_out.clear();
                 for &idx in hits {
-                    if self.within_bounds_at(store, idx as usize, &scratch.cons)? {
+                    if self.within_bounds_at(store, pins, idx as usize, cons)? {
                         hits_out.push(idx);
                     }
                 }
@@ -1200,6 +1216,21 @@ pub(crate) fn execute_plan(
     scratch: &mut Scratch,
     responses: &mut Vec<QueryResponse>,
 ) -> Option<QueryError> {
+    let err = execute_groups(db, queries, groups, scratch, responses);
+    scratch.pins.clear();
+    err
+}
+
+/// [`execute_plan`] without the final unpinning: a group's shared
+/// materialization and its members share one pin table, unpinned when the
+/// group is done.
+fn execute_groups(
+    db: &HiddenDb,
+    queries: &[Query],
+    groups: &[PrefixGroup],
+    scratch: &mut Scratch,
+    responses: &mut Vec<QueryResponse>,
+) -> Option<QueryError> {
     debug_assert!(crate::predicate::groups_cover(queries, groups));
     let mut pos = 0usize;
     for g in groups {
@@ -1228,7 +1259,13 @@ pub(crate) fn execute_plan(
                     ExecStrategy::Indexed => {
                         let index = db.index();
                         if shared.is_none() {
-                            match index.prepare_shared(prefix, g.len, db.store(), db.schema()) {
+                            match index.prepare_shared(
+                                prefix,
+                                g.len,
+                                db.store(),
+                                db.schema(),
+                                &mut scratch.pins,
+                            ) {
                                 Ok(sg) => shared = Some(sg),
                                 Err(e) => return Some(QueryError::Storage { error: e }),
                             }
@@ -1304,6 +1341,7 @@ pub(crate) fn execute_plan(
             };
             responses.push(db.finish_query(q, seq, tuples, overflowed, matched, log_enabled));
         }
+        scratch.pins.clear();
     }
     None
 }
@@ -1394,13 +1432,17 @@ mod tests {
             for b in 0..n.div_ceil(BLOCK) {
                 let len = BLOCK.min(n - b * BLOCK);
                 let values: Vec<Value> = (b * BLOCK..b * BLOCK + len)
-                    .map(|r| store[index.perm_at(r).unwrap() as usize].values[attr])
+                    .map(|r| {
+                        let idx = index.perm_at(&mut ChunkPins::default(), r).unwrap();
+                        store[idx as usize].values[attr]
+                    })
                     .collect();
                 let (zmin, zmax) = index.zone(attr, b);
                 assert_eq!(zmin, *values.iter().min().unwrap());
                 assert_eq!(zmax, *values.iter().max().unwrap());
+                let mut pins = ChunkPins::default();
                 assert_eq!(
-                    index.rank_col_block(attr, b, len).unwrap().as_slice(),
+                    index.rank_col_block(&mut pins, attr, b, len).unwrap(),
                     &values[..]
                 );
             }
@@ -1577,7 +1619,9 @@ mod tests {
                 (vec![Predicate::gt(0, 31)], "empty"),
             ];
             for (prefix, expect) in cases {
-                let shared = index.prepare_shared(&prefix, 4, &store, &s).unwrap();
+                let shared = index
+                    .prepare_shared(&prefix, 4, &store, &s, &mut scratch.pins)
+                    .unwrap();
                 match (expect, &shared) {
                     ("shared", SharedGroup::Ranked { .. } | SharedGroup::StoreOrder { .. })
                     | ("per-query", SharedGroup::PerQuery)

@@ -14,7 +14,10 @@
 //!   permutation, posting orders, tuple ids and the `Arc<Tuple>`s behind
 //!   query responses materialize only when a query first touches their
 //!   chunk (4096 values by default), and stay cached for the segment's
-//!   lifetime. `Ranker::precompute` never runs on the load path.
+//!   lifetime — or, under a cache budget, until evicted; a bounded reader
+//!   pins the chunks a query reads for that query and hydrates response
+//!   tuples one at a time. `Ranker::precompute` never runs on the load
+//!   path.
 //! * **Every byte is covered by a checksum.** Each section carries the PR 6
 //!   envelope (magic + version + kind + length + FNV-1a 64 checksum); the
 //!   directory is covered by the footer's envelope, and the trailer
@@ -47,7 +50,7 @@ use std::sync::{Arc, OnceLock};
 use crate::conc::ClockCacheCore;
 use crate::index::BLOCK;
 use crate::sync::StdSync;
-use crate::{AttributeRole, AttributeSpec, HiddenDb, InterfaceType, Schema, Tuple, TupleId, Value};
+use crate::{AttributeRole, AttributeSpec, HiddenDb, InterfaceType, Schema, Tuple, Value};
 
 /// Audited numeric conversions for the wire paths.
 ///
@@ -192,8 +195,9 @@ const KIND_ORDER: u8 = 8;
 /// Section kind: one chunk of the tuple ids (u64).
 const KIND_IDS: u8 = 9;
 
-/// Pseudo section kind keying hydrated tuple chunks in the chunk cache.
-/// Never appears on disk.
+/// Pseudo section kind keying hydrated tuple chunks in the sticky chunk
+/// tables (a bounded reader hydrates one tuple at a time instead). Never
+/// appears on disk.
 const KIND_TUPLE_CACHE: u8 = 200;
 
 /// v2 chunk codec tag: frame-of-reference + bit-packing (the v1 layout).
@@ -1397,12 +1401,19 @@ impl SegmentOpenOptions {
 /// and the `storage_report` benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageStats {
-    /// Chunk lookups served from the decoded-chunk cache.
+    /// Chunk lookups served from the decoded-chunk cache. Under a budget
+    /// the engine pins each chunk it reads for the rest of its query, so
+    /// this counts chunk lookups per query, not values read.
     pub cache_hits: u64,
     /// Chunk lookups that decoded from the backing source.
     pub cache_misses: u64,
     /// Chunks evicted by the bounded cache (always 0 without a budget).
     pub cache_evictions: u64,
+    /// Decoded chunks the bounded cache served uncached because one chunk
+    /// costs more than a cache shard's share of the budget (always 0
+    /// without a budget). Every such chunk is decoded again on its next
+    /// lookup.
+    pub cache_bypasses: u64,
     /// Decoded bytes currently resident in the cache.
     pub bytes_resident: u64,
     /// The configured cache byte budget (`None` = unbounded sticky cache).
@@ -1658,12 +1669,45 @@ impl ChunkCache {
         }
     }
 
+    /// Lifetime count of chunks too costly for a shard, served uncached
+    /// (the sticky backing has no budget to exceed).
+    fn bypass_count(&self) -> u64 {
+        match &self.backing {
+            CacheBacking::Sticky(_) => 0,
+            CacheBacking::Bounded(core) => core.bypass_count(),
+        }
+    }
+
     /// Bytes of decoded chunks currently resident.
     fn resident_bytes(&self) -> u64 {
         match &self.backing {
             CacheBacking::Sticky(_) => self.resident.load(Ordering::Relaxed),
             CacheBacking::Bounded(core) => core.resident_bytes(),
         }
+    }
+}
+
+/// Decoded chunks pinned for the duration of one query: one slot per
+/// (section kind, attribute) stream, each holding the stream's most
+/// recently read chunk.
+///
+/// The engine reads columns one value at a time, and consecutive values
+/// almost always share a chunk. A pinned hit is a compare and an index —
+/// no lock, no hash, no refcount — so a bounded cache is consulted once per
+/// chunk per query instead of once per value. The table lives in the
+/// session's scratch and is cleared when the query (or plan group)
+/// returns, so no chunk outlives its query and the extra memory is at most
+/// one chunk per stream.
+#[derive(Default)]
+pub(crate) struct ChunkPins {
+    /// `(chunk no, chunk)` per stream; `usize::MAX` marks an empty slot.
+    slots: Vec<(usize, Arc<[u32]>)>,
+}
+
+impl ChunkPins {
+    /// Unpins every chunk (the table keeps its capacity).
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
     }
 }
 
@@ -2140,7 +2184,7 @@ impl SegmentReader {
     /// value costs an order of magnitude; sticky cells are immutable once
     /// initialized and never evicted, so the borrow is sound for the
     /// reader's lifetime.
-    fn sticky_u32(&self, kind: u8, attr: u32, c: usize) -> Option<&[u32]> {
+    fn sticky_u32(&self, kind: u8, attr: u32, c: usize) -> Option<&Arc<[u32]>> {
         if let CacheBacking::Sticky(t) = &self.cache.backing {
             let key = ChunkKey {
                 kind,
@@ -2154,14 +2198,44 @@ impl SegmentReader {
         None
     }
 
-    /// One `u32` value out of a chunk, through the sticky fast path; the
-    /// bounded backing (and any cold chunk) falls back to the counted
-    /// chunk fetch.
-    fn u32_at(&self, kind: u8, attr: u32, c: usize, i: usize) -> Result<u32, SegmentError> {
+    /// Chunk `c` of the `(kind, attr)` stream: a resident sticky chunk is
+    /// borrowed in place; otherwise the stream's pinned chunk serves if it
+    /// is chunk `c`, and only a different chunk is fetched through the
+    /// counted cache lookup (replacing the pin).
+    fn pinned<'a>(
+        &'a self,
+        pins: &'a mut ChunkPins,
+        kind: u8,
+        attr: u32,
+        c: usize,
+    ) -> Result<&'a Arc<[u32]>, SegmentError> {
         if let Some(v) = self.sticky_u32(kind, attr, c) {
-            return Ok(v[i]);
+            return Ok(v);
         }
-        Ok(self.u32_chunk(kind, attr, c)?[i])
+        // Kinds PERM..=ORDER are consecutive: one slot per attribute each.
+        let m = self.schema.len().max(1);
+        let slot = usize::from(kind - KIND_PERM) * m + cast::to_usize(attr);
+        if pins.slots.len() <= slot {
+            let len = usize::from(KIND_ORDER - KIND_PERM + 1) * m;
+            pins.slots.resize_with(len, || (usize::MAX, Arc::default()));
+        }
+        let pin = &mut pins.slots[slot];
+        if pin.0 != c {
+            *pin = (c, self.u32_chunk(kind, attr, c)?);
+        }
+        Ok(&pin.1)
+    }
+
+    /// One `u32` value out of a chunk, through [`SegmentReader::pinned`].
+    fn u32_at(
+        &self,
+        pins: &mut ChunkPins,
+        kind: u8,
+        attr: u32,
+        c: usize,
+        i: usize,
+    ) -> Result<u32, SegmentError> {
+        Ok(self.pinned(pins, kind, attr, c)?[i])
     }
 
     fn u32_chunk(&self, kind: u8, attr: u32, c: usize) -> Result<Arc<[u32]>, SegmentError> {
@@ -2273,48 +2347,40 @@ impl SegmentReader {
     }
 
     /// Store index of the tuple at rank `rank`.
-    pub(crate) fn perm_at(&self, rank: usize) -> Result<u32, SegmentError> {
-        self.u32_at(KIND_PERM, 0, rank / self.chunk, rank % self.chunk)
+    pub(crate) fn perm_at(&self, pins: &mut ChunkPins, rank: usize) -> Result<u32, SegmentError> {
+        self.u32_at(pins, KIND_PERM, 0, rank / self.chunk, rank % self.chunk)
     }
 
     /// Rank position of the tuple at store index `idx`.
-    pub(crate) fn rank_of_at(&self, idx: usize) -> Result<u32, SegmentError> {
-        self.u32_at(KIND_RANK_OF, 0, idx / self.chunk, idx % self.chunk)
+    pub(crate) fn rank_of_at(&self, pins: &mut ChunkPins, idx: usize) -> Result<u32, SegmentError> {
+        self.u32_at(pins, KIND_RANK_OF, 0, idx / self.chunk, idx % self.chunk)
     }
 
-    /// The rank-ordered column chunk holding zone block `b` of `attr`, plus
-    /// the block's offset within it. Blocks never span chunks (the chunk
+    /// The `len` rank-ordered values of zone block `b` on `attr`, borrowed
+    /// from a sticky or pinned chunk. Blocks never span chunks (the chunk
     /// size is a multiple of the block size).
-    pub(crate) fn rank_col_chunk(
-        &self,
-        attr: usize,
-        b: usize,
-    ) -> Result<(Arc<[u32]>, usize), SegmentError> {
-        let base = b * BLOCK;
-        let c = base / self.chunk;
-        let off = base % self.chunk;
-        Ok((self.u32_chunk(KIND_RANK_COL, cast::to_u32(attr), c)?, off))
-    }
-
-    /// Zone block `b` of `attr` borrowed straight out of a resident sticky
-    /// chunk (`None` under the bounded backing or when cold) — the
-    /// zero-atomic path for warm zone scans.
-    pub(crate) fn rank_col_block_sticky(
-        &self,
+    pub(crate) fn rank_col_block<'a>(
+        &'a self,
+        pins: &'a mut ChunkPins,
         attr: usize,
         b: usize,
         len: usize,
-    ) -> Option<&[u32]> {
+    ) -> Result<&'a [u32], SegmentError> {
         let base = b * BLOCK;
-        let c = base / self.chunk;
         let off = base % self.chunk;
-        self.sticky_u32(KIND_RANK_COL, cast::to_u32(attr), c)
-            .map(|v| &v[off..off + len])
+        let chunk = self.pinned(pins, KIND_RANK_COL, cast::to_u32(attr), base / self.chunk)?;
+        Ok(&chunk[off..off + len])
     }
 
     /// Value of the rank-`rank` tuple on `attr` (rank-ordered column).
-    pub(crate) fn rank_value_at(&self, attr: usize, rank: usize) -> Result<Value, SegmentError> {
+    pub(crate) fn rank_value_at(
+        &self,
+        pins: &mut ChunkPins,
+        attr: usize,
+        rank: usize,
+    ) -> Result<Value, SegmentError> {
         self.u32_at(
+            pins,
             KIND_RANK_COL,
             cast::to_u32(attr),
             rank / self.chunk,
@@ -2324,8 +2390,14 @@ impl SegmentReader {
 
     /// Value of the tuple at store index `idx` on `attr` (store-ordered
     /// column — never hydrates tuples).
-    pub(crate) fn store_value_at(&self, attr: usize, idx: usize) -> Result<Value, SegmentError> {
+    pub(crate) fn store_value_at(
+        &self,
+        pins: &mut ChunkPins,
+        attr: usize,
+        idx: usize,
+    ) -> Result<Value, SegmentError> {
         self.u32_at(
+            pins,
             KIND_STORE_COL,
             cast::to_u32(attr),
             idx / self.chunk,
@@ -2428,6 +2500,7 @@ impl SegmentReader {
             cache_hits: self.cache.hit_count(),
             cache_misses: self.cache.miss_count(),
             cache_evictions: self.cache.eviction_count(),
+            cache_bypasses: self.cache.bypass_count(),
             bytes_resident: self.cache.resident_bytes(),
             cache_budget: self.options.cache_budget,
             decoded_for: self.decoded_for.load(Ordering::Relaxed),
@@ -2485,13 +2558,15 @@ impl SegmentReader {
 
     /// Walks the posting order of `attr` over the value range `[lo, hi]` —
     /// store indices in ascending store order per value bucket, exactly like
-    /// the RAM posting lists.
+    /// the RAM posting lists. The callback gets the pin table back, so it
+    /// can read other streams through it while the walk holds its chunk.
     pub(crate) fn for_posting(
         &self,
+        pins: &mut ChunkPins,
         attr: usize,
         lo: Value,
         hi: Value,
-        f: &mut dyn FnMut(u32) -> Result<(), SegmentError>,
+        f: &mut dyn FnMut(&mut ChunkPins, u32) -> Result<(), SegmentError>,
     ) -> Result<(), SegmentError> {
         if lo > hi {
             return Ok(());
@@ -2502,36 +2577,50 @@ impl SegmentReader {
         if p0 >= p1 {
             return Ok(());
         }
+        let a = cast::to_u32(attr);
         let first = p0 / self.chunk;
         let last = (p1 - 1) / self.chunk;
         if last > first {
             // Multi-chunk walk: warm the cache with one coalesced read.
-            self.prefetch_u32_chunks(KIND_ORDER, cast::to_u32(attr), first, last)?;
+            self.prefetch_u32_chunks(KIND_ORDER, a, first, last)?;
         }
         for c in first..=last {
             let base = c * self.chunk;
-            let chunk = self.u32_chunk(KIND_ORDER, cast::to_u32(attr), c)?;
+            // One handle per chunk, so the callback can have the pins.
+            let chunk = Arc::clone(self.pinned(pins, KIND_ORDER, a, c)?);
             let start = p0.max(base) - base;
             let end = p1.min(base + chunk.len()) - base;
             for &idx in &chunk[start..end] {
-                f(idx)?;
+                f(pins, idx)?;
             }
         }
         Ok(())
     }
 
-    /// The hydrated tuple at store index `idx`, materializing its chunk on
-    /// first touch (or serving straight from the full-hydration snapshot if
-    /// one exists).
+    /// The hydrated tuple at store index `idx` (served straight from the
+    /// full-hydration snapshot if one exists).
+    ///
+    /// The sticky backing materializes and keeps the tuple's whole chunk on
+    /// first touch. A bounded reader builds just this tuple, from its id
+    /// and its m store-column values: a hydrated tuple chunk costs more
+    /// than a cache shard's budget at realistic widths, so building one per
+    /// call would decode thousands of tuples to return one.
     pub(crate) fn tuple_at(&self, idx: usize) -> Result<Arc<Tuple>, SegmentError> {
         if let Some(full) = self.full.get() {
             return Ok(Arc::clone(&full[idx]));
         }
-        let c = idx / self.chunk;
-        if let Some(t) = self.sticky_tuples(c) {
-            return Ok(Arc::clone(&t[idx % self.chunk]));
+        let (c, i) = (idx / self.chunk, idx % self.chunk);
+        if self.cache_is_bounded() {
+            let id = self.ids_chunk(c)?[i];
+            let values = (0..self.schema.len())
+                .map(|attr| Ok(self.u32_chunk(KIND_STORE_COL, cast::to_u32(attr), c)?[i]))
+                .collect::<Result<Vec<Value>, SegmentError>>()?;
+            return Ok(Arc::new(Tuple::new(id, values)));
         }
-        Ok(Arc::clone(&self.tuple_chunk(c)?[idx % self.chunk]))
+        if let Some(t) = self.sticky_tuples(c) {
+            return Ok(Arc::clone(&t[i]));
+        }
+        Ok(Arc::clone(&self.tuple_chunk(c)?[i]))
     }
 
     /// A resident sticky tuple chunk, borrowed in place — the zero-atomic
@@ -2551,6 +2640,24 @@ impl SegmentReader {
         None
     }
 
+    /// Builds every tuple of chunk `c` from its ids and store columns.
+    fn build_tuple_chunk(&self, c: usize) -> Result<Arc<[Arc<Tuple>]>, SegmentError> {
+        let ids = self.ids_chunk(c)?;
+        let m = self.schema.len();
+        let mut cols: Vec<Arc<[u32]>> = Vec::with_capacity(m);
+        for attr in 0..m {
+            cols.push(self.u32_chunk(KIND_STORE_COL, cast::to_u32(attr), c)?);
+        }
+        Ok((0..self.chunk_len(c))
+            .map(|i| {
+                let values: Vec<Value> = cols.iter().map(|col| col[i]).collect();
+                Arc::new(Tuple::new(ids[i], values))
+            })
+            .collect())
+    }
+
+    /// The hydrated tuple chunk `c` of the sticky backing, built and
+    /// published on first touch.
     fn tuple_chunk(&self, c: usize) -> Result<Arc<[Arc<Tuple>]>, SegmentError> {
         let key = ChunkKey {
             kind: KIND_TUPLE_CACHE,
@@ -2560,20 +2667,10 @@ impl SegmentReader {
         if let Some(hit) = self.cache.get(key) {
             return Ok(hit.as_tuples().clone());
         }
-        let ids = self.ids_chunk(c)?;
-        let m = self.schema.len();
-        let mut cols: Vec<Arc<[u32]>> = Vec::with_capacity(m);
-        for attr in 0..m {
-            cols.push(self.u32_chunk(KIND_STORE_COL, cast::to_u32(attr), c)?);
-        }
-        let built: Arc<[Arc<Tuple>]> = (0..self.chunk_len(c))
-            .map(|i| {
-                let values: Vec<Value> = cols.iter().map(|col| col[i]).collect();
-                Arc::new(Tuple::new(ids[i] as TupleId, values))
-            })
-            .collect();
+        let built = self.build_tuple_chunk(c)?;
         // Rough per-tuple footprint: the Arc + Tuple headers plus the values.
-        let cost = cast::to_u64(self.chunk_len(c)) * (48 + 4 * cast::to_u64(m)) + CHUNK_OVERHEAD;
+        let m = cast::to_u64(self.schema.len());
+        let cost = cast::to_u64(self.chunk_len(c)) * (48 + 4 * m) + CHUNK_OVERHEAD;
         Ok(self
             .cache
             .insert(key, CachedChunk::Tuples(built), cost)
@@ -2584,16 +2681,23 @@ impl SegmentReader {
     /// Hydrates every tuple and returns the contiguous snapshot — the
     /// O(n) escape hatch behind [`TupleStore::as_slice`] for segment-backed
     /// stores (scan-strategy execution, oracle ground truth, dominance
-    /// precomputation). Chunks hydrated earlier are reused, not re-decoded.
-    /// The snapshot is sticky and deliberately exempt from the cache budget:
-    /// callers receive a plain slice whose lifetime is the reader's.
+    /// precomputation). Tuple chunks the sticky backing hydrated earlier
+    /// are reused, not re-decoded; a bounded reader builds them without
+    /// caching them. The snapshot is sticky and deliberately exempt from
+    /// the cache budget: callers receive a plain slice whose lifetime is
+    /// the reader's.
     pub(crate) fn hydrate_all(&self) -> Result<&[Arc<Tuple>], SegmentError> {
         if let Some(full) = self.full.get() {
             return Ok(full);
         }
         let mut all: Vec<Arc<Tuple>> = Vec::with_capacity(self.n);
         for c in 0..self.chunks() {
-            all.extend(self.tuple_chunk(c)?.iter().cloned());
+            let chunk = if self.cache_is_bounded() {
+                self.build_tuple_chunk(c)?
+            } else {
+                self.tuple_chunk(c)?
+            };
+            all.extend(chunk.iter().cloned());
         }
         Ok(self.full.get_or_init(|| all.into_boxed_slice()))
     }
@@ -3166,7 +3270,9 @@ mod tests {
         let poisoned_reader =
             SegmentReader::open(Box::new(MemSource::new(poisoned))).expect("footer intact");
         let verify_err = poisoned_reader.verify().unwrap_err();
-        let query_err = poisoned_reader.store_value_at(0, 0).unwrap_err();
+        let query_err = poisoned_reader
+            .store_value_at(&mut ChunkPins::default(), 0, 0)
+            .unwrap_err();
         assert_eq!(verify_err, query_err);
         assert_eq!(
             verify_err,
@@ -3174,6 +3280,118 @@ mod tests {
                 detail: "undefined chunk codec tag 7".into()
             }
         );
+    }
+
+    /// The shape of the `pq_segment` benchmark: four point-interface
+    /// attributes, the default 4,096-row chunks, and a cache budget of
+    /// 0, 1 MiB or none. Every answer matches the RAM build byte for byte,
+    /// and a query makes at most one cache lookup per chunk of each stream
+    /// it reads plus m + 1 per tuple it returns — never one per value it
+    /// scans (a posting walk here scans well over a thousand values).
+    #[test]
+    fn pinned_chunks_bound_cache_lookups_per_query() {
+        // Equality on a0 or a1 is broad enough for the rank scan; on a2 or
+        // a3 it is selective enough for the posting walk.
+        let domains = [11u32, 12, 40, 64];
+        let m = domains.len();
+        let mut builder = SchemaBuilder::new();
+        for (a, &d) in domains.iter().enumerate() {
+            builder = builder.ranking(format!("a{a}"), d, InterfaceType::Pq);
+        }
+        let schema = builder.build();
+        // Five chunks, the last one short.
+        let n = 5 * DEFAULT_CHUNK - 100;
+        let chunks = n.div_ceil(DEFAULT_CHUNK);
+        let tuples: Vec<Tuple> = (0..n as u64)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let values = domains
+                    .iter()
+                    .enumerate()
+                    .map(|(a, &d)| ((h >> (13 * a + 7)) % u64::from(d)) as u32)
+                    .collect();
+                Tuple::new(i, values)
+            })
+            .collect();
+        let db = HiddenDb::with_sum_ranking(schema, tuples, 10);
+        let bytes = SegmentWriter::new().write(&db).unwrap();
+
+        let eq = |a: usize, v: u32| crate::Predicate::eq(a, v);
+        let mut queries = vec![Query::select_all()];
+        for a in 0..m {
+            queries.push(Query::new(vec![eq(a, 0)]));
+            queries.push(Query::new(vec![eq(a, 3), eq((a + 1) % m, 2)]));
+        }
+        queries.push(Query::new(vec![eq(0, 1), eq(1, 1), eq(2, 1), eq(3, 1)]));
+        // A grouped plan: four siblings sharing the prefix `a0 = 5`.
+        let plan: Vec<Query> = (0..4)
+            .map(|v| Query::new(vec![eq(0, 5), eq(1, v)]))
+            .collect();
+
+        // Perm, rank-of, and per attribute the rank column, the store
+        // column and the posting order.
+        let streams = 2 + 3 * m;
+        let tuples_of =
+            |r: &crate::QueryResponse| r.tuples.iter().map(|t| Tuple::clone(t)).collect::<Vec<_>>();
+        for budget in [Some(0), Some(1 << 20), None] {
+            let options = match budget {
+                Some(b) => SegmentOpenOptions::new().with_cache_budget(b),
+                None => SegmentOpenOptions::new(),
+            };
+            let seg = HiddenDb::open_segment_source_with(
+                Box::new(MemSource::new(bytes.clone())),
+                Box::new(SumRanker),
+                options,
+            )
+            .unwrap();
+            let lookups = || {
+                let s = seg.storage_stats().expect("segment-backed");
+                s.cache_hits + s.cache_misses
+            };
+            // The access log forces exact-count plans (posting walks and,
+            // under a budget, the compressed scan); without it broad
+            // queries take the early-terminating rank scan.
+            for log in [false, true] {
+                if log {
+                    seg.enable_access_log();
+                }
+                for q in &queries {
+                    let before = lookups();
+                    let got = seg.query(q).unwrap();
+                    let used = lookups() - before;
+                    let want = db.query(q).unwrap();
+                    assert_eq!(tuples_of(&got), tuples_of(&want), "{q}, budget {budget:?}");
+                    assert_eq!(got.overflowed, want.overflowed, "{q}");
+                    let bound = streams * chunks + (m + 1) * got.tuples.len();
+                    assert!(
+                        used <= bound as u64,
+                        "{q}, budget {budget:?}: {used} cache lookups, bound {bound}"
+                    );
+                }
+                let before = lookups();
+                let (got, err) = seg.session().run_plan(&plan);
+                let used = lookups() - before;
+                let (want, _) = db.session().run_plan(&plan);
+                assert!(err.is_none());
+                let returned: usize = got.iter().map(|r| r.tuples.len()).sum();
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(tuples_of(g), tuples_of(w), "plan, budget {budget:?}");
+                }
+                // The shared materialization plus each member's own plan.
+                let bound = (plan.len() + 1) * streams * chunks + (m + 1) * returned;
+                assert!(
+                    used <= bound as u64,
+                    "plan, budget {budget:?}: {used} cache lookups, bound {bound}"
+                );
+            }
+            let stats = seg.storage_stats().unwrap();
+            assert!(stats.bytes_resident <= budget.unwrap_or(u64::MAX));
+            match budget {
+                // Budget 0 caches nothing: every decoded chunk is a bypass.
+                Some(0) => assert_eq!(stats.cache_bypasses, stats.cache_misses),
+                _ => assert_eq!(stats.cache_bypasses, 0, "budget {budget:?}"),
+            }
+        }
     }
 
     #[test]

@@ -17,16 +17,17 @@
 //! threads and sessions freely.
 //!
 //! Since PR 7 a store can also be **lazily backed by a persisted columnar
-//! segment** ([`crate::SegmentReader`]): tuples materialize per chunk the
-//! first time a query response touches them, so opening a 10M-tuple segment
-//! costs O(footer) and resident memory tracks the *touched* working set,
-//! not the dataset. The public API is unchanged — `share`/`get`/indexing
+//! segment** ([`crate::SegmentReader`]): tuples materialize the first time
+//! a query response touches them (per chunk, or one at a time under a
+//! cache budget), so opening a 10M-tuple segment costs O(footer) and
+//! resident memory tracks the *touched* working set, not the dataset. The public API is unchanged — `share`/`get`/indexing
 //! hydrate on demand (panicking on storage faults, which the engine
 //! precludes by using the fallible [`TupleStore::try_share`] first), and
 //! [`TupleStore::as_slice`]/[`TupleStore::iter`] hydrate everything once
 //! (the full-scan escape hatch for oracle consumers and the `Scan`
 //! reference strategy). Hydrated chunks are cached in the shared reader, so
-//! clones of a lazy store share every materialized tuple.
+//! clones of a lazy store share every materialized tuple (a budgeted
+//! reader builds a fresh tuple per share instead).
 
 use std::fmt;
 use std::ops::Index;
@@ -110,7 +111,7 @@ impl TupleStore {
     }
 
     /// Shares the tuple at `idx`: one reference-count bump, no deep clone
-    /// (plus a one-time chunk hydration on a segment-backed store). This is
+    /// (plus hydration on first touch on a segment-backed store). This is
     /// how query responses are built.
     ///
     /// # Panics

@@ -15,8 +15,9 @@
 //! [`QueryError`](skyweb_hidden_db::QueryError) cut the plan short). Any
 //! malformed, oversized or out-of-state frame closes the connection — a
 //! corrupt peer gets no diagnosis to probe, and the codec guarantees the
-//! rejection happens without unbounded allocation. The socket read timeout
-//! bounds how long a worker can be held by a stalled (slowloris) peer.
+//! rejection happens without unbounded allocation. The socket timeout,
+//! applied to reads and writes alike, bounds how long a worker can be held
+//! by a stalled (slowloris) peer or by one that never reads its replies.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -66,7 +67,10 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Socket read timeout: the longest a worker blocks on a stalled peer
     /// before dropping the connection (the slowloris bound), and therefore
-    /// also the longest an idle connection survives. `None` blocks forever.
+    /// also the longest an idle connection survives. The same bound applies
+    /// to writes: a peer that stops reading its replies is dropped once a
+    /// reply has waited this long for socket buffer space. `None` blocks
+    /// forever.
     pub read_timeout: Option<Duration>,
     /// Payload-length cap enforced on incoming frames before allocation.
     pub max_frame_len: usize,
@@ -95,7 +99,8 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the socket read timeout (builder style).
+    /// Sets the socket read timeout, which also bounds writes (builder
+    /// style).
     pub fn with_read_timeout(mut self, read_timeout: Option<Duration>) -> Self {
         self.read_timeout = read_timeout;
         self
@@ -284,6 +289,9 @@ fn handle_connection(
     config: &ServerConfig,
 ) -> Result<ConnectionReport, NetError> {
     stream.set_read_timeout(config.read_timeout)?;
+    // A peer that sends plans and never reads the replies would otherwise
+    // hold the worker in `write_frame` forever once the buffers fill.
+    stream.set_write_timeout(config.read_timeout)?;
     let hello = {
         let cap = MAX_HANDSHAKE_FRAME_LEN.min(config.max_frame_len);
         let Some((kind, frame)) = wire::read_frame(&mut stream, cap)? else {

@@ -300,6 +300,42 @@ fn slowloris_times_out_and_frees_the_worker() {
 }
 
 #[test]
+fn never_reading_peer_times_out_and_frees_the_worker() {
+    // k = n, so every SELECT * reply carries all 4,096 tuples (~100 KB):
+    // a few plans of them overflow the loopback socket buffers.
+    let schema = SchemaBuilder::new()
+        .ranking("a0", 64, InterfaceType::Sq)
+        .ranking("a1", 64, InterfaceType::Sq)
+        .build();
+    let n = 4096u64;
+    let tuples: Vec<Tuple> = (0..n)
+        .map(|i| Tuple::new(i, vec![(i % 64) as u32, ((i / 64) % 64) as u32]))
+        .collect();
+    let db = HiddenDb::with_sum_ranking(schema, tuples, n as usize);
+    let config = ServerConfig::new()
+        .with_workers(1)
+        .with_read_timeout(Some(Duration::from_millis(200)));
+    let ((), report) = with_server(&db, config, |addr| {
+        // The peer sends plans and never reads a reply. With a single
+        // worker, a server blocked in write_frame would starve every later
+        // client.
+        let mut peer = handshake(addr);
+        let plan = encode_plan(&QueryPlan::new(vec![Query::select_all(); 32]));
+        for _ in 0..16 {
+            peer.write_all(&plan).expect("send plan");
+        }
+
+        // The write timeout frees the worker ~200 ms after the buffers fill.
+        good_client_still_served(addr);
+
+        // The peer was hung up on: what the buffers held, then EOF or reset.
+        drain(&mut peer);
+    });
+    assert_eq!(report.rejected, 1);
+    assert_eq!(report.finished.len(), 1);
+}
+
+#[test]
 fn protocol_mismatch_still_gets_a_welcome_then_close() {
     let db = small_db();
     let ((), report) = with_server(&db, ServerConfig::new().with_workers(1), |addr| {
