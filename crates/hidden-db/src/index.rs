@@ -50,7 +50,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::dominance::DominanceIndex;
 use crate::predicate::PrefixGroup;
-use crate::segment::{ChunkPins, SegmentError, SegmentReader};
+use crate::segment::{ChunkPins, Lanes, SegmentError, SegmentReader};
 use crate::store::TupleStore;
 use crate::{
     AttrId, CmpOp, HiddenDb, Predicate, Query, QueryError, QueryResponse, Ranker, Schema, Tuple,
@@ -413,19 +413,20 @@ impl QueryIndex {
     }
 
     /// The contiguous rank-ordered column values of zone block `b` on
-    /// `attr` (`len` values).
+    /// `attr` (`len` values), at the width they are stored in (`u32` in
+    /// RAM, the chunk's narrowest width on a segment).
     fn rank_col_block<'a>(
         &'a self,
         pins: &'a mut ChunkPins,
         attr: AttrId,
         b: usize,
         len: usize,
-    ) -> Result<&'a [Value], SegmentError> {
+    ) -> Result<Lanes<'a>, SegmentError> {
         match &self.backend {
             IndexBackend::Ram(r) => {
                 let z = r.zones.as_ref().expect("rank columns require a rank order");
                 let base = b * BLOCK;
-                Ok(&z.cols[attr][base..base + len])
+                Ok(Lanes::W32(&z.cols[attr][base..base + len]))
             }
             IndexBackend::Segment(s) => s.rank_col_block(pins, attr, b, len),
         }
@@ -546,7 +547,8 @@ impl QueryIndex {
                 continue;
             }
             // Lane bitset: built branch-free, one attribute at a time, from
-            // the columnar rank-ordered values.
+            // the columnar rank-ordered values; the width is matched once
+            // per block.
             let base = b * BLOCK;
             let len = BLOCK.min(self.n - base);
             let mut mask: u64 = if len == BLOCK {
@@ -559,12 +561,12 @@ impl QueryIndex {
                 if bmin >= lo && bmax <= hi {
                     continue;
                 }
-                let col = self.rank_col_block(pins, attr, b, len)?;
-                let mut m = 0u64;
-                for (lane, &v) in col.iter().enumerate() {
-                    m |= u64::from(v >= lo && v <= hi) << lane;
-                }
-                mask &= m;
+                mask &= match self.rank_col_block(pins, attr, b, len)? {
+                    Lanes::W8(col) => byte_lane_mask(col, lo, hi),
+                    Lanes::W16(col) => lane_mask(col, lo, hi, u16::MAX),
+                    Lanes::W32(col) => lane_mask(col, lo, hi, u32::MAX),
+                    Lanes::W64(col) => lane_mask(col, lo, hi, u64::MAX),
+                };
                 if mask == 0 {
                     break;
                 }
@@ -1346,6 +1348,65 @@ fn execute_groups(
     None
 }
 
+/// Lane bitset of one block (at most 64 values) at its stored width `T`
+/// (whose largest value is `max`): bit `i` is set iff `lo <= col[i] <= hi`.
+/// The bounds are narrowed to `T` once, so every lane compares at the
+/// column's own width.
+fn lane_mask<T: Copy + Ord + TryFrom<Value>>(col: &[T], lo: Value, hi: Value, max: T) -> u64 {
+    let Ok(lo) = T::try_from(lo) else {
+        return 0; // no lane reaches `lo`
+    };
+    let hi = T::try_from(hi).unwrap_or(max);
+    let mut m = 0u64;
+    for (lane, &v) in col.iter().enumerate() {
+        m |= u64::from(v >= lo && v <= hi) << lane;
+    }
+    m
+}
+
+/// The high bit of every byte lane of a word.
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// Byte-lane `x >= y` (unsigned): the high bit of each byte of the result
+/// is set iff that byte of `x` is at least that byte of `y`; all other
+/// bits are clear. `(x | H) - (y & !H)` compares the low seven bits with
+/// no borrow crossing a lane; where the high bits differ, `x`'s decides.
+fn bytes_ge(x: u64, y: u64) -> u64 {
+    let low = ((x | HIGH_BITS) - (y & !HIGH_BITS)) & HIGH_BITS;
+    let differ = (x ^ y) & HIGH_BITS;
+    (differ & x) | (!differ & low)
+}
+
+/// [`lane_mask`] for a byte-wide block, eight lanes per step: each step
+/// loads eight values as one word, tests both bounds on all eight bytes at
+/// once ([`bytes_ge`]) and packs the eight verdicts into the mask with one
+/// multiply.
+fn byte_lane_mask(col: &[u8], lo: Value, hi: Value) -> u64 {
+    debug_assert!(col.len() <= BLOCK);
+    let Ok(lo) = u8::try_from(lo) else {
+        return 0; // no byte reaches `lo`
+    };
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let lo = u64::from(lo) * ONES;
+    let hi = u64::from(u8::try_from(hi).unwrap_or(u8::MAX)) * ONES;
+    let mut m = 0u64;
+    for (step, lanes) in col.chunks(8).enumerate() {
+        let mut word = [0u8; 8];
+        word[..lanes.len()].copy_from_slice(lanes);
+        let x = u64::from_le_bytes(word);
+        let hits = bytes_ge(x, lo) & bytes_ge(hi, x);
+        // Byte i's verdict (bit 8i + 7) lands on bit 56 + i: the multiply
+        // adds one distinct shifted copy per byte, so nothing carries.
+        let packed = (hits >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        m |= packed << (8 * step);
+    }
+    // The zero padding of a short last step may have matched.
+    if col.len() < BLOCK {
+        m &= (1u64 << col.len()) - 1;
+    }
+    m
+}
+
 /// Intersects a conjunction of predicates into one closed interval per
 /// attribute. Returns `false` if the conjunction is unsatisfiable.
 fn fold_bounds(preds: &[Predicate], schema: &Schema, bounds: &mut Vec<(i64, i64)>) -> bool {
@@ -1441,10 +1502,35 @@ mod tests {
                 assert_eq!(zmin, *values.iter().min().unwrap());
                 assert_eq!(zmax, *values.iter().max().unwrap());
                 let mut pins = ChunkPins::default();
-                assert_eq!(
-                    index.rank_col_block(&mut pins, attr, b, len).unwrap(),
-                    &values[..]
-                );
+                let Lanes::W32(block) = index.rank_col_block(&mut pins, attr, b, len).unwrap()
+                else {
+                    panic!("RAM rank columns are u32");
+                };
+                assert_eq!(block, &values[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn byte_lane_kernel_matches_the_scalar_kernel() {
+        // Two blocks that between them hold 0 and 255 and values on both
+        // sides of every bound below 256.
+        let blocks: [Vec<u8>; 2] = [
+            (0..64u32).map(|i| (i * 4 + i / 16) as u8).collect(),
+            (0..64u32).map(|i| (255 - i * 37 % 256) as u8).collect(),
+        ];
+        for block in &blocks {
+            for len in 1..=BLOCK {
+                let col = &block[..len];
+                for lo in 0..=300 {
+                    for hi in lo..=300 {
+                        assert_eq!(
+                            byte_lane_mask(col, lo, hi),
+                            lane_mask(col, lo, hi, u8::MAX),
+                            "len {len}, [{lo}, {hi}]"
+                        );
+                    }
+                }
             }
         }
     }

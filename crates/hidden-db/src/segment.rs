@@ -13,7 +13,8 @@
 //! * **Everything bulky hydrates lazily, per chunk.** Column values, the
 //!   permutation, posting orders, tuple ids and the `Arc<Tuple>`s behind
 //!   query responses materialize only when a query first touches their
-//!   chunk (4096 values by default), and stay cached for the segment's
+//!   chunk (4096 values by default), decoded at the narrowest integer
+//!   width that holds them, and stay cached for the segment's
 //!   lifetime — or, under a cache budget, until evicted; a bounded reader
 //!   pins the chunks a query reads for that query and hydrates response
 //!   tuples one at a time. `Ranker::precompute` never runs on the load
@@ -110,6 +111,12 @@ mod cast {
     #[inline]
     pub(super) fn to_u8<W: Word>(v: W) -> u8 {
         u8::try_from(v.wide() & u128::from(u8::MAX)).unwrap_or(u8::MAX)
+    }
+
+    /// Truncates to the low 16 bits, exactly like `v as u16`.
+    #[inline]
+    pub(super) fn to_u16<W: Word>(v: W) -> u16 {
+        u16::try_from(v.wide() & u128::from(u16::MAX)).unwrap_or(u16::MAX)
     }
 
     /// Truncates to the low 32 bits, exactly like `v as u32`.
@@ -1414,7 +1421,11 @@ pub struct StorageStats {
     /// without a budget). Every such chunk is decoded again on its next
     /// lookup.
     pub cache_bypasses: u64,
-    /// Decoded bytes currently resident in the cache.
+    /// Decoded bytes currently resident in the cache. A decoded chunk is
+    /// stored at the narrowest width that holds its values (`u8`, `u16`,
+    /// `u32`, or `u64` for ids) and costs `width × len` plus 32 bytes of
+    /// bookkeeping; a hydrated tuple chunk (sticky cache only) costs
+    /// `len × (48 + 4m)` plus 32.
     pub bytes_resident: u64,
     /// The configured cache byte budget (`None` = unbounded sticky cache).
     pub cache_budget: Option<u64>,
@@ -1462,26 +1473,117 @@ struct ChunkKey {
     chunk: u32,
 }
 
-/// One decoded chunk, shared out of the cache by refcount so eviction can
-/// never invalidate a borrow a query still holds.
+/// The values of one decoded chunk, stored at the narrowest width that
+/// holds all of them: a column of 4,096 values below 256 costs 4 KiB, not
+/// 16 KiB. Shared by refcount so eviction can never invalidate a borrow a
+/// query still holds.
+#[derive(Clone)]
+enum Col {
+    W8(Arc<[u8]>),
+    W16(Arc<[u16]>),
+    W32(Arc<[u32]>),
+    W64(Arc<[u64]>),
+}
+
+/// A borrowed run of a [`Col`] at its stored width, so a block kernel can
+/// match on the width once and then loop over plain lanes.
+#[derive(Clone, Copy)]
+pub(crate) enum Lanes<'a> {
+    W8(&'a [u8]),
+    W16(&'a [u16]),
+    W32(&'a [u32]),
+    W64(&'a [u64]),
+}
+
+impl Default for Col {
+    fn default() -> Self {
+        Col::W8(Arc::default())
+    }
+}
+
+impl Col {
+    /// Copies already-validated values into the narrowest width that holds
+    /// their maximum.
+    fn narrow<W: cast::Word>(vals: &[W]) -> Col {
+        let max = vals.iter().map(|v| v.wide()).max().unwrap_or(0);
+        if max <= u128::from(u8::MAX) {
+            Col::W8(vals.iter().map(|&v| cast::to_u8(v)).collect())
+        } else if max <= u128::from(u16::MAX) {
+            Col::W16(vals.iter().map(|&v| cast::to_u16(v)).collect())
+        } else if max <= u128::from(u32::MAX) {
+            Col::W32(vals.iter().map(|&v| cast::to_u32(v)).collect())
+        } else {
+            Col::W64(vals.iter().map(|&v| cast::to_u64(v)).collect())
+        }
+    }
+
+    /// Decoded payload bytes: width × length. The cache charges this plus
+    /// [`CHUNK_OVERHEAD`].
+    fn bytes(&self) -> u64 {
+        let (width, len) = match self {
+            Col::W8(v) => (1, v.len()),
+            Col::W16(v) => (2, v.len()),
+            Col::W32(v) => (4, v.len()),
+            Col::W64(v) => (8, v.len()),
+        };
+        width * cast::to_u64(len)
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Col::W8(v) => v.len(),
+            Col::W16(v) => v.len(),
+            Col::W32(v) => v.len(),
+            Col::W64(v) => v.len(),
+        }
+    }
+
+    /// Value `i`, widened back to 64 bits.
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        match self {
+            Col::W8(v) => u64::from(v[i]),
+            Col::W16(v) => u64::from(v[i]),
+            Col::W32(v) => u64::from(v[i]),
+            Col::W64(v) => v[i],
+        }
+    }
+
+    /// Values `range`, borrowed at their stored width.
+    fn lanes(&self, range: std::ops::Range<usize>) -> Lanes<'_> {
+        match self {
+            Col::W8(v) => Lanes::W8(&v[range]),
+            Col::W16(v) => Lanes::W16(&v[range]),
+            Col::W32(v) => Lanes::W32(&v[range]),
+            Col::W64(v) => Lanes::W64(&v[range]),
+        }
+    }
+}
+
+/// Hands every value of a posting-order run to `f` as a store index.
+fn each_index<W: cast::Word>(
+    run: &[W],
+    pins: &mut ChunkPins,
+    f: &mut dyn FnMut(&mut ChunkPins, u32) -> Result<(), SegmentError>,
+) -> Result<(), SegmentError> {
+    for &idx in run {
+        f(pins, cast::to_u32(idx))?;
+    }
+    Ok(())
+}
+
+/// One decoded chunk in the cache: a column of values, or (sticky backing
+/// only) a chunk of hydrated tuples.
 #[derive(Clone)]
 enum CachedChunk {
-    U32(Arc<[u32]>),
-    U64(Arc<[u64]>),
+    Col(Col),
     Tuples(Arc<[Arc<Tuple>]>),
 }
 
 impl CachedChunk {
-    fn as_u32(&self) -> &Arc<[u32]> {
+    fn as_col(&self) -> &Col {
         match self {
-            CachedChunk::U32(v) => v,
-            _ => unreachable!("cache key/kind confusion"),
-        }
-    }
-
-    fn as_u64(&self) -> &Arc<[u64]> {
-        match self {
-            CachedChunk::U64(v) => v,
+            CachedChunk::Col(v) => v,
             _ => unreachable!("cache key/kind confusion"),
         }
     }
@@ -1701,7 +1803,7 @@ impl ChunkCache {
 #[derive(Default)]
 pub(crate) struct ChunkPins {
     /// `(chunk no, chunk)` per stream; `usize::MAX` marks an empty slot.
-    slots: Vec<(usize, Arc<[u32]>)>,
+    slots: Vec<(usize, Col)>,
 }
 
 impl ChunkPins {
@@ -2164,34 +2266,33 @@ impl SegmentReader {
         Ok(starts)
     }
 
-    fn decode_u32_chunk(
-        &self,
-        kind: u8,
-        attr: u32,
-        c: usize,
-        expected_len: usize,
-    ) -> Result<Vec<u32>, SegmentError> {
-        let e = self.entry(kind, attr, cast::to_u32(c))?;
-        let bytes = self.read_entry(e)?;
-        let payload = self.open_section(&bytes, kind)?;
-        self.decode_u32_section(kind, attr, c, expected_len, payload)
+    /// Opens, decodes and fully validates chunk `c` of the `(kind, attr)`
+    /// stream from its section bytes, then narrows it (see [`Col`]).
+    fn decode_col(&self, kind: u8, attr: u32, c: usize, bytes: &[u8]) -> Result<Col, SegmentError> {
+        let payload = self.open_section(bytes, kind)?;
+        Ok(if kind == KIND_IDS {
+            Col::narrow(&self.decode_ids_section(c, payload)?)
+        } else {
+            Col::narrow(&self.decode_u32_section(kind, attr, c, self.chunk_len(c), payload)?)
+        })
     }
 
-    /// A resident sticky `u32` chunk, borrowed in place — no `Arc` traffic,
-    /// no counter — or `None` under the bounded backing / for a cold chunk.
+    /// A resident sticky chunk, borrowed in place — no `Arc` traffic, no
+    /// counter — or `None` under the bounded backing / for a cold chunk.
     /// The warm-query fast paths (`u32_at`, the zone-block reader, tuple
     /// sharing) sit on the engine's innermost loops, where an atomic per
     /// value costs an order of magnitude; sticky cells are immutable once
     /// initialized and never evicted, so the borrow is sound for the
     /// reader's lifetime.
-    fn sticky_u32(&self, kind: u8, attr: u32, c: usize) -> Option<&Arc<[u32]>> {
+    #[inline]
+    fn sticky_col(&self, kind: u8, attr: u32, c: usize) -> Option<&Col> {
         if let CacheBacking::Sticky(t) = &self.cache.backing {
             let key = ChunkKey {
                 kind,
                 attr,
                 chunk: cast::to_u32(c),
             };
-            if let Some(CachedChunk::U32(v)) = t.slot(key).and_then(|cell| cell.get()) {
+            if let Some(CachedChunk::Col(v)) = t.slot(key).and_then(|cell| cell.get()) {
                 return Some(v);
             }
         }
@@ -2199,34 +2300,47 @@ impl SegmentReader {
     }
 
     /// Chunk `c` of the `(kind, attr)` stream: a resident sticky chunk is
-    /// borrowed in place; otherwise the stream's pinned chunk serves if it
-    /// is chunk `c`, and only a different chunk is fetched through the
-    /// counted cache lookup (replacing the pin).
+    /// borrowed in place (inlined into the per-value accessors); otherwise
+    /// the stream's pinned chunk serves (see [`SegmentReader::pin`]).
+    #[inline]
     fn pinned<'a>(
         &'a self,
         pins: &'a mut ChunkPins,
         kind: u8,
         attr: u32,
         c: usize,
-    ) -> Result<&'a Arc<[u32]>, SegmentError> {
-        if let Some(v) = self.sticky_u32(kind, attr, c) {
-            return Ok(v);
+    ) -> Result<&'a Col, SegmentError> {
+        match self.sticky_col(kind, attr, c) {
+            Some(v) => Ok(v),
+            None => self.pin(pins, kind, attr, c),
         }
+    }
+
+    /// The stream's pinned chunk if it is chunk `c`; only a different chunk
+    /// is fetched through the counted cache lookup (replacing the pin).
+    fn pin<'a>(
+        &'a self,
+        pins: &'a mut ChunkPins,
+        kind: u8,
+        attr: u32,
+        c: usize,
+    ) -> Result<&'a Col, SegmentError> {
         // Kinds PERM..=ORDER are consecutive: one slot per attribute each.
         let m = self.schema.len().max(1);
         let slot = usize::from(kind - KIND_PERM) * m + cast::to_usize(attr);
         if pins.slots.len() <= slot {
             let len = usize::from(KIND_ORDER - KIND_PERM + 1) * m;
-            pins.slots.resize_with(len, || (usize::MAX, Arc::default()));
+            pins.slots.resize_with(len, || (usize::MAX, Col::default()));
         }
         let pin = &mut pins.slots[slot];
         if pin.0 != c {
-            *pin = (c, self.u32_chunk(kind, attr, c)?);
+            *pin = (c, self.col_chunk(kind, attr, c)?);
         }
         Ok(&pin.1)
     }
 
     /// One `u32` value out of a chunk, through [`SegmentReader::pinned`].
+    #[inline]
     fn u32_at(
         &self,
         pins: &mut ChunkPins,
@@ -2235,46 +2349,39 @@ impl SegmentReader {
         c: usize,
         i: usize,
     ) -> Result<u32, SegmentError> {
-        Ok(self.pinned(pins, kind, attr, c)?[i])
+        Ok(cast::to_u32(self.pinned(pins, kind, attr, c)?.get(i)))
     }
 
-    fn u32_chunk(&self, kind: u8, attr: u32, c: usize) -> Result<Arc<[u32]>, SegmentError> {
+    /// Chunk `c` of the `(kind, attr)` stream through the counted cache
+    /// lookup, decoded and inserted on a miss.
+    fn col_chunk(&self, kind: u8, attr: u32, c: usize) -> Result<Col, SegmentError> {
         let key = ChunkKey {
             kind,
             attr,
             chunk: cast::to_u32(c),
         };
         if let Some(hit) = self.cache.get(key) {
-            return Ok(hit.as_u32().clone());
+            return Ok(hit.as_col().clone());
         }
-        let vals = self.decode_u32_chunk(kind, attr, c, self.chunk_len(c))?;
-        let cost = 4 * cast::to_u64(vals.len()) + CHUNK_OVERHEAD;
-        let data = CachedChunk::U32(vals.into());
-        Ok(self.cache.insert(key, data, cost).as_u32().clone())
+        let bytes = self.read_entry(self.entry(kind, attr, key.chunk)?)?;
+        let col = self.decode_col(kind, attr, c, &bytes)?;
+        Ok(self.insert_col(key, col))
     }
 
-    fn ids_chunk(&self, c: usize) -> Result<Arc<[u64]>, SegmentError> {
-        let key = ChunkKey {
-            kind: KIND_IDS,
-            attr: 0,
-            chunk: cast::to_u32(c),
-        };
-        if let Some(hit) = self.cache.get(key) {
-            return Ok(hit.as_u64().clone());
-        }
-        let e = self.entry(KIND_IDS, 0, cast::to_u32(c))?;
-        let bytes = self.read_entry(e)?;
-        let payload = self.open_section(&bytes, KIND_IDS)?;
-        let vals = self.decode_ids_section(c, payload)?;
-        let cost = 8 * cast::to_u64(vals.len()) + CHUNK_OVERHEAD;
-        let data = CachedChunk::U64(vals.into());
-        Ok(self.cache.insert(key, data, cost).as_u64().clone())
+    /// Inserts a decoded chunk at its real cost — `width × len +
+    /// CHUNK_OVERHEAD` — and returns the resident copy.
+    fn insert_col(&self, key: ChunkKey, col: Col) -> Col {
+        let cost = col.bytes() + CHUNK_OVERHEAD;
+        self.cache
+            .insert(key, CachedChunk::Col(col), cost)
+            .as_col()
+            .clone()
     }
 
     /// Warms the cache with chunks `[first, last]` of `(kind, attr)` through
     /// one coalesced [`BlockSource::read_many`] — readahead for posting and
     /// rank-order walks that will touch the whole range anyway.
-    fn prefetch_u32_chunks(
+    fn prefetch_chunks(
         &self,
         kind: u8,
         attr: u32,
@@ -2312,19 +2419,14 @@ impl SegmentReader {
             self.source.read_many(&mut reqs)?;
         }
         for ((c, _), bytes) in wanted.iter().zip(&bufs) {
-            let payload = self.open_section(bytes, kind)?;
-            let vals = self.decode_u32_section(kind, attr, *c, self.chunk_len(*c), payload)?;
-            let cost = 4 * cast::to_u64(vals.len()) + CHUNK_OVERHEAD;
+            let col = self.decode_col(kind, attr, *c, bytes)?;
             self.cache.note_miss();
-            self.cache.insert(
-                ChunkKey {
-                    kind,
-                    attr,
-                    chunk: cast::to_u32(*c),
-                },
-                CachedChunk::U32(vals.into()),
-                cost,
-            );
+            let key = ChunkKey {
+                kind,
+                attr,
+                chunk: cast::to_u32(*c),
+            };
+            self.insert_col(key, col);
         }
         Ok(())
     }
@@ -2365,11 +2467,11 @@ impl SegmentReader {
         attr: usize,
         b: usize,
         len: usize,
-    ) -> Result<&'a [u32], SegmentError> {
+    ) -> Result<Lanes<'a>, SegmentError> {
         let base = b * BLOCK;
         let off = base % self.chunk;
         let chunk = self.pinned(pins, KIND_RANK_COL, cast::to_u32(attr), base / self.chunk)?;
-        Ok(&chunk[off..off + len])
+        Ok(chunk.lanes(off..off + len))
     }
 
     /// Value of the rank-`rank` tuple on `attr` (rank-ordered column).
@@ -2582,16 +2684,19 @@ impl SegmentReader {
         let last = (p1 - 1) / self.chunk;
         if last > first {
             // Multi-chunk walk: warm the cache with one coalesced read.
-            self.prefetch_u32_chunks(KIND_ORDER, a, first, last)?;
+            self.prefetch_chunks(KIND_ORDER, a, first, last)?;
         }
         for c in first..=last {
             let base = c * self.chunk;
             // One handle per chunk, so the callback can have the pins.
-            let chunk = Arc::clone(self.pinned(pins, KIND_ORDER, a, c)?);
-            let start = p0.max(base) - base;
-            let end = p1.min(base + chunk.len()) - base;
-            for &idx in &chunk[start..end] {
-                f(pins, idx)?;
+            let chunk = self.pinned(pins, KIND_ORDER, a, c)?.clone();
+            let range = p0.max(base) - base..p1.min(base + chunk.len()) - base;
+            // The width is matched once per chunk, not once per value.
+            match chunk.lanes(range) {
+                Lanes::W8(v) => each_index(v, pins, f)?,
+                Lanes::W16(v) => each_index(v, pins, f)?,
+                Lanes::W32(v) => each_index(v, pins, f)?,
+                Lanes::W64(v) => each_index(v, pins, f)?,
             }
         }
         Ok(())
@@ -2611,9 +2716,12 @@ impl SegmentReader {
         }
         let (c, i) = (idx / self.chunk, idx % self.chunk);
         if self.cache_is_bounded() {
-            let id = self.ids_chunk(c)?[i];
+            let id = self.col_chunk(KIND_IDS, 0, c)?.get(i);
             let values = (0..self.schema.len())
-                .map(|attr| Ok(self.u32_chunk(KIND_STORE_COL, cast::to_u32(attr), c)?[i]))
+                .map(|attr| {
+                    let col = self.col_chunk(KIND_STORE_COL, cast::to_u32(attr), c)?;
+                    Ok(cast::to_u32(col.get(i)))
+                })
                 .collect::<Result<Vec<Value>, SegmentError>>()?;
             return Ok(Arc::new(Tuple::new(id, values)));
         }
@@ -2624,7 +2732,7 @@ impl SegmentReader {
     }
 
     /// A resident sticky tuple chunk, borrowed in place — the zero-atomic
-    /// counterpart of [`SegmentReader::sticky_u32`] for warm tuple shares
+    /// counterpart of [`SegmentReader::sticky_col`] for warm tuple shares
     /// (only the returned tuple's own `Arc` is cloned).
     fn sticky_tuples(&self, c: usize) -> Option<&[Arc<Tuple>]> {
         if let CacheBacking::Sticky(t) = &self.cache.backing {
@@ -2642,16 +2750,16 @@ impl SegmentReader {
 
     /// Builds every tuple of chunk `c` from its ids and store columns.
     fn build_tuple_chunk(&self, c: usize) -> Result<Arc<[Arc<Tuple>]>, SegmentError> {
-        let ids = self.ids_chunk(c)?;
+        let ids = self.col_chunk(KIND_IDS, 0, c)?;
         let m = self.schema.len();
-        let mut cols: Vec<Arc<[u32]>> = Vec::with_capacity(m);
+        let mut cols: Vec<Col> = Vec::with_capacity(m);
         for attr in 0..m {
-            cols.push(self.u32_chunk(KIND_STORE_COL, cast::to_u32(attr), c)?);
+            cols.push(self.col_chunk(KIND_STORE_COL, cast::to_u32(attr), c)?);
         }
         Ok((0..self.chunk_len(c))
             .map(|i| {
-                let values: Vec<Value> = cols.iter().map(|col| col[i]).collect();
-                Arc::new(Tuple::new(ids[i], values))
+                let values: Vec<Value> = cols.iter().map(|col| cast::to_u32(col.get(i))).collect();
+                Arc::new(Tuple::new(ids.get(i), values))
             })
             .collect())
     }
@@ -3066,18 +3174,35 @@ mod tests {
         );
     }
 
-    #[test]
-    fn bounded_cache_stays_byte_identical_and_evicts() {
-        let db = tiny_db();
-        db.enable_access_log();
-        let bytes = SegmentWriter::new().with_chunk_size(64).write(&db).unwrap();
-        let queries = [
+    /// The query mix of the eviction tests over [`tiny_db`].
+    fn thrash_queries() -> [Query; 5] {
+        [
             Query::select_all(),
             Query::new(vec![crate::Predicate::lt(0, 4)]),
             Query::new(vec![crate::Predicate::lt(0, 9)]),
             Query::new(vec![crate::Predicate::eq(2, 1), crate::Predicate::ge(0, 6)]),
             Query::new(vec![crate::Predicate::eq(1, 3)]),
-        ];
+        ]
+    }
+
+    /// A budget that gives each cache shard room for exactly one full
+    /// [`tiny_db`] chunk at 64 values per chunk. Every `tiny_db` value
+    /// (column values, ranks, store indices, ids) is below 150, so every
+    /// chunk narrows to `u8` and a full one costs 64 + [`CHUNK_OVERHEAD`]
+    /// bytes; a short last chunk costs 22 + [`CHUNK_OVERHEAD`]. No chunk is
+    /// bypassed, any two chunks in one shard overflow it, and the query
+    /// mix below touches more distinct chunks than there are shards — so
+    /// some shard must evict.
+    fn one_chunk_per_shard() -> u64 {
+        cast::to_u64(CACHE_SHARDS) * (64 + CHUNK_OVERHEAD)
+    }
+
+    #[test]
+    fn bounded_cache_stays_byte_identical_and_evicts() {
+        let db = tiny_db();
+        db.enable_access_log();
+        let bytes = SegmentWriter::new().with_chunk_size(64).write(&db).unwrap();
+        let queries = thrash_queries();
         // Budgets: sticky reference, eviction-forcing, and the degenerate
         // decode-every-time budget 0 — all must answer identically.
         let reference = HiddenDb::open_segment_source(
@@ -3086,7 +3211,7 @@ mod tests {
         )
         .unwrap();
         reference.enable_access_log();
-        for budget in [4_800u64, 0] {
+        for budget in [one_chunk_per_shard(), 0] {
             let capped = HiddenDb::open_segment_source_with(
                 Box::new(MemSource::new(bytes.clone())),
                 Box::new(SumRanker),
@@ -3114,6 +3239,7 @@ mod tests {
                 stats.bytes_resident
             );
             if budget > 0 {
+                assert_eq!(stats.cache_bypasses, 0, "every chunk fits a shard");
                 assert!(stats.cache_evictions > 0, "tiny budget must evict");
                 assert!(stats.cache_hits > 0, "repeat queries must hit");
             }
@@ -3129,10 +3255,11 @@ mod tests {
         let db = tiny_db();
         db.enable_access_log();
         let bytes = SegmentWriter::new().with_chunk_size(64).write(&db).unwrap();
+        let queries = thrash_queries();
         // A budget small enough that the query mix below keeps evicting:
         // the same thrash regime as `bounded_cache_stays_byte_identical_
         // and_evicts`, but here the subject is the counters themselves.
-        let budget = 4_800u64;
+        let budget = one_chunk_per_shard();
         let capped = HiddenDb::open_segment_source_with(
             Box::new(MemSource::new(bytes)),
             Box::new(SumRanker),
@@ -3144,13 +3271,6 @@ mod tests {
         assert_eq!(fresh.cache_hits + fresh.cache_misses, 0);
         assert_eq!(fresh.cache_evictions, 0);
         assert_eq!(fresh.bytes_resident, 0);
-        let queries = [
-            Query::select_all(),
-            Query::new(vec![crate::Predicate::lt(0, 4)]),
-            Query::new(vec![crate::Predicate::lt(0, 9)]),
-            Query::new(vec![crate::Predicate::eq(2, 1), crate::Predicate::ge(0, 6)]),
-            Query::new(vec![crate::Predicate::eq(1, 3)]),
-        ];
         let mut prev = fresh;
         for round in 0..6 {
             for q in &queries {
@@ -3284,10 +3404,12 @@ mod tests {
 
     /// The shape of the `pq_segment` benchmark: four point-interface
     /// attributes, the default 4,096-row chunks, and a cache budget of
-    /// 0, 1 MiB or none. Every answer matches the RAM build byte for byte,
-    /// and a query makes at most one cache lookup per chunk of each stream
-    /// it reads plus m + 1 per tuple it returns — never one per value it
-    /// scans (a posting walk here scans well over a thousand values).
+    /// 0, 256 KiB, 1 MiB or none. Every answer matches the RAM build byte
+    /// for byte, and a query makes at most one cache lookup per chunk of
+    /// each stream it reads plus m + 1 per tuple it returns — never one per
+    /// value it scans (a posting walk here scans well over a thousand
+    /// values). Every value of this shape is narrow, so the whole working
+    /// set fits 1 MiB and an `ids` chunk fits a 32 KiB shard.
     #[test]
     fn pinned_chunks_bound_cache_lookups_per_query() {
         // Equality on a0 or a1 is broad enough for the rank scan; on a2 or
@@ -3315,6 +3437,16 @@ mod tests {
             .collect();
         let db = HiddenDb::with_sum_ranking(schema, tuples, 10);
         let bytes = SegmentWriter::new().write(&db).unwrap();
+        // A store-column chunk of small codes is one byte a value.
+        let reader = SegmentReader::open_with(
+            Box::new(MemSource::new(bytes.clone())),
+            SegmentOpenOptions::new().with_cache_budget(1 << 20),
+        )
+        .unwrap();
+        reader
+            .store_value_at(&mut ChunkPins::default(), 0, 0)
+            .unwrap();
+        assert_eq!(reader.storage_stats().bytes_resident, 4096 + CHUNK_OVERHEAD);
 
         let eq = |a: usize, v: u32| crate::Predicate::eq(a, v);
         let mut queries = vec![Query::select_all()];
@@ -3333,7 +3465,7 @@ mod tests {
         let streams = 2 + 3 * m;
         let tuples_of =
             |r: &crate::QueryResponse| r.tuples.iter().map(|t| Tuple::clone(t)).collect::<Vec<_>>();
-        for budget in [Some(0), Some(1 << 20), None] {
+        for budget in [Some(0), Some(256 << 10), Some(1 << 20), None] {
             let options = match budget {
                 Some(b) => SegmentOpenOptions::new().with_cache_budget(b),
                 None => SegmentOpenOptions::new(),
@@ -3383,6 +3515,15 @@ mod tests {
                     used <= bound as u64,
                     "plan, budget {budget:?}: {used} cache lookups, bound {bound}"
                 );
+                if budget == Some(1 << 20) {
+                    // The working set is resident: a repeat decodes nothing.
+                    let misses = seg.storage_stats().unwrap().cache_misses;
+                    for q in &queries {
+                        seg.query(q).unwrap();
+                    }
+                    let repeat = seg.storage_stats().unwrap().cache_misses - misses;
+                    assert_eq!(repeat, 0, "repeat pass under 1 MiB, log {log}");
+                }
             }
             let stats = seg.storage_stats().unwrap();
             assert!(stats.bytes_resident <= budget.unwrap_or(u64::MAX));
@@ -3390,6 +3531,68 @@ mod tests {
                 // Budget 0 caches nothing: every decoded chunk is a bypass.
                 Some(0) => assert_eq!(stats.cache_bypasses, stats.cache_misses),
                 _ => assert_eq!(stats.cache_bypasses, 0, "budget {budget:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_narrow_to_the_smallest_width_that_holds_them() {
+        for (max, width) in [
+            (0u64, 1u64),
+            (255, 1),
+            (256, 2),
+            (65_535, 2),
+            (65_536, 4),
+            (u64::from(u32::MAX), 4),
+            (u64::from(u32::MAX) + 1, 8),
+        ] {
+            let vals = [max / 3, max, 0];
+            let col = Col::narrow(&vals);
+            assert_eq!(col.bytes(), width * 3, "max {max}");
+            assert_eq!((0..3).map(|i| col.get(i)).collect::<Vec<_>>(), vals);
+        }
+
+        // The same boundaries through a segment: one 64-row chunk per
+        // boundary, each charged `width × 64 + CHUNK_OVERHEAD` bytes.
+        let tops = [255u32, 256, 65_535, 65_536];
+        let id_tops = [
+            65_535u64,
+            65_599,
+            u64::from(u32::MAX),
+            u64::from(u32::MAX) + 64,
+        ];
+        let schema = SchemaBuilder::new()
+            .ranking("a", 65_537, InterfaceType::Rq)
+            .build();
+        let tuples: Vec<Tuple> = (0..4 * 64u64)
+            .map(|i| {
+                let (c, j) = ((i / 64) as usize, i % 64);
+                let v = if j == 0 { tops[c] } else { j as u32 };
+                Tuple::new(id_tops[c] - j, vec![v])
+            })
+            .collect();
+        let db = HiddenDb::with_sum_ranking(schema, tuples.clone(), 3);
+        let bytes = SegmentWriter::new().with_chunk_size(64).write(&db).unwrap();
+        let reader = SegmentReader::open_with(
+            Box::new(MemSource::new(bytes)),
+            SegmentOpenOptions::new().with_cache_budget(u64::MAX),
+        )
+        .unwrap();
+        let checks = [(KIND_STORE_COL, [1u64, 2, 2, 4]), (KIND_IDS, [2, 4, 4, 8])];
+        for (kind, widths) in checks {
+            for (c, width) in widths.into_iter().enumerate() {
+                let before = reader.storage_stats().bytes_resident;
+                let col = reader.col_chunk(kind, 0, c).unwrap();
+                let after = reader.storage_stats().bytes_resident;
+                assert_eq!(after - before, width * 64 + CHUNK_OVERHEAD, "{kind}/{c}");
+                for (i, t) in tuples[c * 64..(c + 1) * 64].iter().enumerate() {
+                    let want = if kind == KIND_IDS {
+                        t.id
+                    } else {
+                        u64::from(t.values[0])
+                    };
+                    assert_eq!(col.get(i), want);
+                }
             }
         }
     }

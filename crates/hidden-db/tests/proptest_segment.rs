@@ -431,8 +431,9 @@ fn every_single_bit_flip_in_a_v2_all_codec_segment_is_rejected() {
 #[test]
 fn concurrent_readers_under_a_tiny_cache_stay_byte_identical() {
     // Four readers hammer the same workload against one segment whose cache
-    // budget holds roughly one decoded chunk per shard, so chunks are
-    // continuously evicted and re-decoded underneath the running queries.
+    // budget holds one of its widest decoded chunks per shard, so chunks
+    // are continuously evicted and re-decoded underneath the running
+    // queries.
     type QueryOutcome = Result<(Vec<(u64, Vec<u32>)>, bool), String>;
     let ram = all_codecs_db();
     let expected: Vec<QueryOutcome> = workload(&ram)
@@ -446,7 +447,30 @@ fn concurrent_readers_under_a_tiny_cache_stay_byte_identical() {
         })
         .collect();
 
-    let budget = 16 * 1024;
+    // The cache has 8 shards and charges a decoded chunk `width × len + 32`
+    // bytes (docs/segment-format.md). This sample's widest chunks hold 256
+    // `u16` values (prices up to 900, store indices up to 383), so a shard
+    // budget of one such chunk bypasses nothing. The workload's chunks cost
+    // more than the whole budget, so some shard's share overflows it and
+    // must evict.
+    let widest_chunk = 2 * 256 + 32;
+    let budget = 8 * widest_chunk;
+    let working_set = {
+        let probe = HiddenDb::open_segment_source_with(
+            Box::new(MemSource::new(sample_v2_segment_with_all_codecs())),
+            Box::new(SumRanker),
+            SegmentOpenOptions::new().with_cache_budget(u64::MAX),
+        )
+        .expect("all-codec sample opens");
+        for q in workload(&probe) {
+            probe.query(&q).ok();
+        }
+        probe.storage_stats().expect("segment stats").bytes_resident
+    };
+    assert!(
+        working_set > budget,
+        "working set {working_set} fits {budget}"
+    );
     let seg = HiddenDb::open_segment_source_with(
         Box::new(MemSource::new(sample_v2_segment_with_all_codecs())),
         Box::new(SumRanker),
@@ -474,6 +498,10 @@ fn concurrent_readers_under_a_tiny_cache_stay_byte_identical() {
     });
 
     let stats = seg.storage_stats().expect("segment backends expose stats");
+    assert_eq!(
+        stats.cache_bypasses, 0,
+        "every chunk fits a shard ({stats:?})"
+    );
     assert!(
         stats.cache_evictions > 0,
         "a {budget}-byte budget must evict under this workload ({stats:?})"
