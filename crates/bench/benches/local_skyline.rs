@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use skyweb_datagen::synthetic::{self, Correlation, SyntheticConfig};
-use skyweb_skyline::{bnl_skyline, dnc_skyline, sfs_skyline, skyband};
+use skyweb_skyline::{bnl_skyline, sfs_skyline, skyband};
 
 fn bench_local_skyline(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_skyline");
@@ -32,9 +32,6 @@ fn bench_local_skyline(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("sfs", label), |b| {
             b.iter(|| sfs_skyline(&ds.tuples, &ds.schema).len())
-        });
-        group.bench_function(BenchmarkId::new("dnc", label), |b| {
-            b.iter(|| dnc_skyline(&ds.tuples, &ds.schema).len())
         });
     }
 

@@ -2,8 +2,9 @@
 //!
 //! When a segment directory is installed, every hidden database a figure
 //! harness builds is round-tripped through the persistent columnar segment
-//! store: written once to `DIR` (keyed by a content fingerprint, so repeated
-//! runs and identical sweep points reuse the file) and reopened as a
+//! store: written once to `DIR` (keyed by a content fingerprint and the
+//! segment format version, so repeated runs and identical sweep points
+//! reuse the file while a format bump writes a fresh one) and reopened as a
 //! lazily-hydrating [`HiddenDb`]. Figure output is byte-identical to the
 //! in-RAM run by the storage layer's differential contract — CI diffs
 //! exactly that — while every query is served from the persisted columns.
@@ -12,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use skyweb_hidden_db::{HiddenDb, Ranker, SegmentOpenOptions};
+use skyweb_hidden_db::{HiddenDb, Ranker, SegmentOpenOptions, SEGMENT_VERSION};
 
 static SEGMENT_DIR: OnceLock<PathBuf> = OnceLock::new();
 static CACHE_BUDGET: OnceLock<u64> = OnceLock::new();
@@ -87,7 +88,10 @@ pub fn db_content_fingerprint(db: &HiddenDb) -> u64 {
 pub fn segment_backed(ram: &HiddenDb, ranker: Box<dyn Ranker>) -> HiddenDb {
     static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
     let dir = segment_dir().expect("segment-backed mode is on");
-    let path = dir.join(format!("{:016x}.seg", db_content_fingerprint(ram)));
+    let path = dir.join(format!(
+        "{:016x}-v{SEGMENT_VERSION}.seg",
+        db_content_fingerprint(ram)
+    ));
     if !path.exists() {
         let tmp = dir.join(format!(
             ".tmp-{}-{}.seg",

@@ -48,6 +48,7 @@ const LIB_CRATE_DIRS: &[&str] = &[
 /// Wire-format sources where the L2 bare-cast policy applies.
 const WIRE_PATHS: &[&str] = &[
     "crates/core/src/codec.rs",
+    "crates/hidden-db/src/envelope.rs",
     "crates/hidden-db/src/segment.rs",
     "crates/net/src/wire.rs",
 ];

@@ -21,7 +21,7 @@ use skyweb_hidden_db::{
     HiddenDb, InterfaceType, Predicate, PrefixGroup, Query, QueryResponse, Value,
 };
 
-use crate::codec::{self, CodecError, Reader};
+use crate::codec::{self, CodecError, CodecRead, Reader};
 use crate::machine::{DiscoveryMachine, Machine, MachineControl};
 use crate::pq::next_combo;
 use crate::{Discoverer, DiscoveryError, KnowledgeBase};

@@ -17,8 +17,10 @@
 //! 15+n    8     FNV-1a 64 checksum of the payload, u64 LE
 //! ```
 //!
-//! Decoding validates every layer in order — magic, version, kind, exact
-//! length, checksum — before a single payload byte is interpreted, so a
+//! The envelope is implemented once, in [`skyweb_hidden_db::envelope`],
+//! and shared with the segment store under its own magic. Decoding
+//! validates every layer in order — magic, version, kind, exact length,
+//! checksum — before a single payload byte is interpreted, so a
 //! truncated file, a foreign file, a future-version file and a bit-flipped
 //! file are all rejected with a specific [`CodecError`] instead of being
 //! mis-restored. The payload itself is a flat little-endian structure walk
@@ -33,7 +35,7 @@
 //! validate the header's length claim against a frame cap via
 //! [`parse_header`] *before* reading or allocating a payload, and every
 //! collection reader below validates its count prefix against the bytes
-//! actually remaining ([`Reader::len_prefix`]) *before* preallocating —
+//! actually remaining (`CodecRead::len_prefix`) *before* preallocating —
 //! a 16-byte frame claiming a 2⁴⁰-element collection is rejected as
 //! truncation without a single oversized allocation.
 //!
@@ -66,6 +68,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+pub(crate) use skyweb_hidden_db::envelope::Reader;
+use skyweb_hidden_db::envelope::{self, EnvelopeError, Format};
 use skyweb_hidden_db::{
     AttributeRole, AttributeSpec, CmpOp, InterfaceType, Predicate, PrefixGroup, Query, QueryError,
     QueryResponse, Schema, SegmentError, Tuple,
@@ -109,10 +113,13 @@ pub(crate) const TAG_SKYBAND: u8 = 6;
 pub(crate) const TAG_CRAWL: u8 = 7;
 pub(crate) const TAG_POINT_CRAWL: u8 = 8;
 
-/// Size of the fixed envelope header (magic + version + kind + length).
-pub const HEADER_LEN: usize = 15;
-/// Size of the trailing payload checksum.
-pub const CHECKSUM_LEN: usize = 8;
+pub use skyweb_hidden_db::envelope::{CHECKSUM_LEN, HEADER_LEN};
+
+/// The codec's envelope format: [`MAGIC`] at [`FORMAT_VERSION`].
+const ENVELOPE: Format = Format {
+    magic: MAGIC,
+    version: FORMAT_VERSION,
+};
 
 /// Why a byte buffer was rejected by the codec. A corrupted or foreign
 /// buffer always surfaces as an error — it is never silently mis-restored.
@@ -177,43 +184,19 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// FNV-1a 64-bit hash of `bytes` — the envelope's corruption detector.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+impl From<EnvelopeError> for CodecError {
+    fn from(e: EnvelopeError) -> Self {
+        match e {
+            EnvelopeError::Truncated => CodecError::Truncated,
+            EnvelopeError::BadMagic => CodecError::BadMagic,
+            EnvelopeError::UnsupportedVersion { found } => CodecError::UnsupportedVersion { found },
+            EnvelopeError::WrongKind { expected, found } => {
+                CodecError::WrongKind { expected, found }
+            }
+            EnvelopeError::ChecksumMismatch => CodecError::ChecksumMismatch,
+            EnvelopeError::TrailingBytes => CodecError::TrailingBytes,
+        }
     }
-    h
-}
-
-/// Little-endian `u64` from the first 8 bytes of `b`, zero-padded when
-/// shorter. Callers always slice exactly 8 bytes; the zero pad replaces
-/// the `try_into().expect(...)` panic path that lint L1 bans.
-fn le_u64(b: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    for (d, s) in buf.iter_mut().zip(b) {
-        *d = *s;
-    }
-    u64::from_le_bytes(buf)
-}
-
-/// Little-endian `i64` from the first 8 bytes of `b` (see [`le_u64`]).
-fn le_i64(b: &[u8]) -> i64 {
-    let mut buf = [0u8; 8];
-    for (d, s) in buf.iter_mut().zip(b) {
-        *d = *s;
-    }
-    i64::from_le_bytes(buf)
-}
-
-/// Little-endian `u32` from the first 4 bytes of `b` (see [`le_u64`]).
-fn le_u32(b: &[u8]) -> u32 {
-    let mut buf = [0u8; 4];
-    for (d, s) in buf.iter_mut().zip(b) {
-        *d = *s;
-    }
-    u32::from_le_bytes(buf)
 }
 
 /// Widens a `usize` to the wire's `u64` without an `as` cast (lint L2
@@ -222,147 +205,34 @@ pub(crate) fn u64_of(v: usize) -> u64 {
     u64::try_from(v).unwrap_or(u64::MAX)
 }
 
-/// Wraps `payload` in the magic/version/kind/length/checksum envelope.
-pub(crate) fn seal(kind: u8, payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&u64_of(payload.len()).to_le_bytes());
-    let checksum = fnv1a64(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum.to_le_bytes());
+/// Wraps `payload` in a codec envelope of `kind`.
+pub(crate) fn seal(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    envelope::seal(ENVELOPE, kind, payload, &mut out);
     out
 }
 
 /// Validates the fixed 15-byte envelope header (magic and format version)
-/// and returns `(kind, payload length claim)` — without touching, or even
-/// requiring, the payload bytes.
-///
-/// This is the hook stream transports use to vet a frame *before* it is
-/// read off the wire: the length claim is attacker-controlled, so it must
-/// be checked against the transport's frame cap before a single payload
-/// byte is buffered. The claim is returned unvalidated on purpose — only
-/// the caller knows its cap; [`open`] later enforces exact-length and
-/// checksum equality on the full buffer.
+/// and returns `(kind, payload length claim)` without requiring the
+/// payload: stream transports check the untrusted claim against their
+/// frame cap before buffering a single payload byte (see
+/// [`envelope::parse_header`]).
 pub fn parse_header(header: &[u8]) -> Result<(u8, u64), CodecError> {
-    if header.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    if header[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    if header.len() < HEADER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != FORMAT_VERSION {
-        return Err(CodecError::UnsupportedVersion { found: version });
-    }
-    Ok((header[6], le_u64(&header[7..15])))
+    Ok(envelope::parse_header(ENVELOPE, header)?)
 }
 
 /// Validates the envelope of `bytes` and returns the payload slice.
 pub(crate) fn open(bytes: &[u8], expected_kind: u8) -> Result<&[u8], CodecError> {
-    let (kind, len) = parse_header(bytes)?;
-    if kind != expected_kind {
-        return Err(CodecError::WrongKind {
-            expected: expected_kind,
-            found: kind,
-        });
-    }
-    let Ok(len) = usize::try_from(len) else {
-        return Err(CodecError::Truncated);
-    };
-    let Some(total) = HEADER_LEN
-        .checked_add(len)
-        .and_then(|n| n.checked_add(CHECKSUM_LEN))
-    else {
-        return Err(CodecError::Truncated);
-    };
-    if bytes.len() < total {
-        return Err(CodecError::Truncated);
-    }
-    if bytes.len() > total {
-        return Err(CodecError::TrailingBytes);
-    }
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + len];
-    let stored = le_u64(&bytes[total - CHECKSUM_LEN..]);
-    if fnv1a64(payload) != stored {
-        return Err(CodecError::ChecksumMismatch);
-    }
-    Ok(payload)
+    Ok(envelope::open(ENVELOPE, bytes, expected_kind)?)
 }
 
-/// A cursor over a payload slice; every read checks bounds and surfaces
-/// [`CodecError::Truncated`] instead of panicking.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(le_u32(self.take(4)?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(le_u64(self.take(8)?))
-    }
-
-    pub(crate) fn i64(&mut self) -> Result<i64, CodecError> {
-        Ok(le_i64(self.take(8)?))
-    }
-
-    pub(crate) fn usize(&mut self) -> Result<usize, CodecError> {
-        usize::try_from(self.u64()?).map_err(|_| CodecError::Truncated)
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(CodecError::BadTag { tag }),
-        }
-    }
-
-    pub(crate) fn opt_u64(&mut self) -> Result<Option<u64>, CodecError> {
-        Ok(if self.bool()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, CodecError> {
-        let len = self.usize()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadTag { tag: 0 })
-    }
-
-    /// Bytes of the payload not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
+/// The codec's payload reads beyond the envelope [`Reader`]'s fixed-width
+/// integers: signed values, flags, options, strings and collection counts.
+pub(crate) trait CodecRead {
+    fn i64(&mut self) -> Result<i64, CodecError>;
+    fn bool(&mut self) -> Result<bool, CodecError>;
+    fn opt_u64(&mut self) -> Result<Option<u64>, CodecError>;
+    fn string(&mut self) -> Result<String, CodecError>;
     /// Reads a collection-count prefix and validates it against the bytes
     /// actually remaining before the caller preallocates: a count whose
     /// elements (at a minimum of `min_elem_bytes` each) could not possibly
@@ -370,21 +240,46 @@ impl<'a> Reader<'a> {
     /// The count prefix is attacker-controlled on wire paths, so every
     /// `Vec::with_capacity` in a decoder must be driven by this, never by
     /// the raw prefix.
-    pub(crate) fn len_prefix(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
+    fn len_prefix(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError>;
+}
+
+impl CodecRead for Reader<'_> {
+    #[inline]
+    fn i64(&mut self) -> Result<i64, CodecError> {
+        Ok(i64::from_le_bytes(self.u64()?.to_le_bytes()))
+    }
+
+    #[inline]
+    fn bool(&mut self) -> Result<bool, CodecError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(CodecError::BadTag { tag }),
+        }
+    }
+
+    #[inline]
+    fn opt_u64(&mut self) -> Result<Option<u64>, CodecError> {
+        Ok(if self.bool()? {
+            Some(self.u64()?)
+        } else {
+            None
+        })
+    }
+
+    fn string(&mut self) -> Result<String, CodecError> {
+        let len = self.usize()?;
+        let bytes = self.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadTag { tag: 0 })
+    }
+
+    #[inline]
+    fn len_prefix(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
         let len = self.usize()?;
         if len > self.remaining() / min_elem_bytes.max(1) {
             return Err(CodecError::Truncated);
         }
         Ok(len)
-    }
-
-    /// Asserts that the payload was consumed exactly.
-    pub(crate) fn finish(&self) -> Result<(), CodecError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CodecError::TrailingBytes)
-        }
     }
 }
 
@@ -601,7 +496,7 @@ pub fn encode_plan(plan: &QueryPlan) -> Vec<u8> {
             }
         }
     }
-    seal(KIND_PLAN, payload)
+    seal(KIND_PLAN, &payload)
 }
 
 /// Restores a [`QueryPlan`] from a sealed envelope produced by
@@ -667,7 +562,7 @@ fn read_responses(r: &mut Reader<'_>) -> Result<Vec<QueryResponse>, CodecError> 
 pub fn encode_responses(responses: &[QueryResponse]) -> Vec<u8> {
     let mut payload = Vec::new();
     put_responses(&mut payload, responses);
-    seal(KIND_RESPONSES, payload)
+    seal(KIND_RESPONSES, &payload)
 }
 
 /// Restores a batch of [`QueryResponse`]s from a sealed envelope produced
@@ -789,7 +684,7 @@ pub fn encode_hello(hello: &Hello) -> Vec<u8> {
     let mut payload = Vec::new();
     put_u32(&mut payload, hello.protocol);
     put_str(&mut payload, &hello.label);
-    seal(KIND_HELLO, payload)
+    seal(KIND_HELLO, &payload)
 }
 
 /// Restores a [`Hello`] from a sealed envelope produced by
@@ -811,7 +706,7 @@ pub fn encode_welcome(welcome: &Welcome) -> Vec<u8> {
     put_u64(&mut payload, welcome.k);
     put_u64(&mut payload, welcome.tuple_count);
     put_schema(&mut payload, &welcome.schema);
-    seal(KIND_WELCOME, payload)
+    seal(KIND_WELCOME, &payload)
 }
 
 /// Restores a [`Welcome`] from a sealed envelope produced by
@@ -987,7 +882,7 @@ pub fn encode_error_reply(answered: &[QueryResponse], error: &QueryError) -> Vec
     let mut payload = Vec::new();
     put_responses(&mut payload, answered);
     put_query_error(&mut payload, error);
-    seal(KIND_ERROR, payload)
+    seal(KIND_ERROR, &payload)
 }
 
 /// Restores an error reply from a sealed envelope produced by
@@ -1008,7 +903,7 @@ mod tests {
 
     #[test]
     fn envelope_rejects_every_corruption_class() {
-        let sealed = seal(KIND_PLAN, vec![1, 2, 3, 4]);
+        let sealed = seal(KIND_PLAN, &[1, 2, 3, 4]);
         assert!(open(&sealed, KIND_PLAN).is_ok());
         // Truncations at every length.
         for cut in 0..sealed.len() {
@@ -1122,14 +1017,14 @@ mod tests {
         // `len_prefix` stands between the decoder and a 2^40-element
         // `Vec::with_capacity`. Every collection decoder must reject it.
         let forged = (1u64 << 40).to_le_bytes().to_vec();
-        let plan = seal(KIND_PLAN, forged.clone());
+        let plan = seal(KIND_PLAN, &forged);
         assert_eq!(decode_plan(&plan), Err(CodecError::Truncated));
-        let responses = seal(KIND_RESPONSES, forged.clone());
+        let responses = seal(KIND_RESPONSES, &forged);
         assert!(matches!(
             decode_responses(&responses),
             Err(CodecError::Truncated)
         ));
-        let error_reply = seal(KIND_ERROR, forged.clone());
+        let error_reply = seal(KIND_ERROR, &forged);
         assert!(matches!(
             decode_error_reply(&error_reply),
             Err(CodecError::Truncated)
@@ -1138,7 +1033,7 @@ mod tests {
         let mut payload = Vec::new();
         put_usize(&mut payload, 1);
         payload.extend_from_slice(&forged);
-        let inner = seal(KIND_RESPONSES, payload);
+        let inner = seal(KIND_RESPONSES, &payload);
         assert!(matches!(
             decode_responses(&inner),
             Err(CodecError::Truncated)
@@ -1150,7 +1045,7 @@ mod tests {
         put_u64(&mut payload, 10);
         put_u64(&mut payload, 100);
         payload.extend_from_slice(&forged);
-        let welcome = seal(KIND_WELCOME, payload);
+        let welcome = seal(KIND_WELCOME, &payload);
         assert!(matches!(
             decode_welcome(&welcome),
             Err(CodecError::Truncated)

@@ -304,7 +304,7 @@ impl<M: DiscoveryMachine> Checkpoint<M> {
         if !self.machine.encode_state(&mut payload) {
             return Err(CodecError::Unsupported);
         }
-        Ok(codec::seal(codec::KIND_CHECKPOINT, payload))
+        Ok(codec::seal(codec::KIND_CHECKPOINT, &payload))
     }
 }
 

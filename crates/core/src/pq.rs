@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use skyweb_hidden_db::{HiddenDb, Predicate, Query, QueryResponse, Tuple, Value};
 
-use crate::codec::{self, CodecError, Reader};
+use crate::codec::{self, CodecError, CodecRead, Reader};
 use crate::machine::{DiscoveryMachine, Machine, MachineControl};
 use crate::pq2dsub::{build_plane_rects, PlanePoint, PlaneSweep};
 use crate::{Discoverer, DiscoveryError, KnowledgeBase};

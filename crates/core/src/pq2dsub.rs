@@ -21,7 +21,7 @@
 
 use skyweb_hidden_db::{AttrId, Predicate, Query, QueryResponse, Value};
 
-use crate::codec::{self, CodecError, Reader};
+use crate::codec::{self, CodecError, CodecRead, Reader};
 use crate::KnowledgeBase;
 
 /// An inclusive candidate rectangle `[xl, xr] × [yb, yt]` in a 2D plane.

@@ -19,8 +19,9 @@
 //!   pins the chunks a query reads for that query and hydrates response
 //!   tuples one at a time. `Ranker::precompute` never runs on the load
 //!   path.
-//! * **Every byte is covered by a checksum.** Each section carries the PR 6
-//!   envelope (magic + version + kind + length + FNV-1a 64 checksum); the
+//! * **Every byte is covered by a checksum.** Each section carries the
+//!   shared [`crate::envelope`] (magic + version + kind + length + FNV-1a 64
+//!   checksum) under the segment's own magic; the
 //!   directory is covered by the footer's envelope, and the trailer
 //!   checksums itself. [`SegmentReader::verify`] performs the full O(file)
 //!   scrub — every truncation and every single-bit flip of a segment is
@@ -49,6 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::conc::ClockCacheCore;
+use crate::envelope::{self, fnv1a64, le_u64, EnvelopeError, Format, Reader};
 use crate::index::BLOCK;
 use crate::sync::StdSync;
 use crate::{AttributeRole, AttributeSpec, HiddenDb, InterfaceType, Schema, Tuple, Value};
@@ -139,38 +141,22 @@ mod cast {
     }
 }
 
-/// Little-endian `u64` from the first 8 bytes of `b`, zero-padded when
-/// shorter. Callers always slice exactly 8 bytes; the zero pad replaces
-/// the `try_into().expect(...)` panic path that lint L1 bans.
-fn le_u64(b: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    for (d, s) in buf.iter_mut().zip(b) {
-        *d = *s;
-    }
-    u64::from_le_bytes(buf)
-}
-
-/// Little-endian `u32` from the first 4 bytes of `b`, zero-padded when
-/// shorter (see [`le_u64`]).
-fn le_u32(b: &[u8]) -> u32 {
-    let mut buf = [0u8; 4];
-    for (d, s) in buf.iter_mut().zip(b) {
-        *d = *s;
-    }
-    u32::from_le_bytes(buf)
-}
-
 /// Magic bytes every segment section starts with (`b"SWSG"`).
 pub const SEGMENT_MAGIC: [u8; 4] = *b"SWSG";
 
 /// Magic bytes of the fixed-size trailer at the end of the file.
 pub const TRAILER_MAGIC: [u8; 8] = *b"SWSGTAIL";
 
-/// The newest segment format version this build writes. Readers accept
-/// every version in `1..=SEGMENT_VERSION`: v1 files (untagged FOR/bit-packed
-/// chunks) keep opening byte-identically next to v2 files (per-chunk codec
-/// tags with min/max headers).
+/// The segment format version this build writes and the only one it reads
+/// (per-chunk codec tags with min/max headers); a section of any other
+/// version is rejected with [`SegmentError::UnsupportedVersion`].
 pub const SEGMENT_VERSION: u16 = 2;
+
+/// The segment's envelope format: [`SEGMENT_MAGIC`] at [`SEGMENT_VERSION`].
+const ENVELOPE: Format = Format {
+    magic: SEGMENT_MAGIC,
+    version: SEGMENT_VERSION,
+};
 
 /// Number of values per lazily-hydrated chunk (a multiple of the zone-map
 /// block size, so one zone block never spans two chunks).
@@ -179,9 +165,6 @@ pub const DEFAULT_CHUNK: usize = 4096;
 /// Size of the fixed trailer: magic (8) + footer offset (8) + footer length
 /// (8) + FNV-1a 64 checksum of the preceding 24 bytes (8).
 pub const TRAILER_LEN: usize = 32;
-
-const HEADER_LEN: usize = 15;
-const CHECKSUM_LEN: usize = 8;
 
 /// Section kind: the footer (meta + directory).
 const KIND_FOOTER: u8 = 1;
@@ -207,11 +190,11 @@ const KIND_IDS: u8 = 9;
 /// appears on disk.
 const KIND_TUPLE_CACHE: u8 = 200;
 
-/// v2 chunk codec tag: frame-of-reference + bit-packing (the v1 layout).
+/// Chunk codec tag: frame-of-reference + bit-packing.
 const CODEC_FOR: u8 = 0;
-/// v2 chunk codec tag: sorted dictionary + bit-packed codes.
+/// Chunk codec tag: sorted dictionary + bit-packed codes.
 const CODEC_DICT: u8 = 1;
-/// v2 chunk codec tag: run-length encoding (run values + run lengths).
+/// Chunk codec tag: run-length encoding (run values + run lengths).
 const CODEC_RLE: u8 = 2;
 
 /// Chunks fetched per coalesced batch by the compressed-domain store scan.
@@ -296,7 +279,7 @@ impl fmt::Display for SegmentError {
             SegmentError::BadMagic => write!(f, "bad magic: not a skyweb segment"),
             SegmentError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported segment version {found} (supported: 1..={SEGMENT_VERSION})"
+                "unsupported segment version {found} (supported: {SEGMENT_VERSION})"
             ),
             SegmentError::WrongKind { expected, found } => write!(
                 f,
@@ -329,21 +312,27 @@ impl From<std::io::Error> for SegmentError {
     }
 }
 
+impl From<EnvelopeError> for SegmentError {
+    fn from(e: EnvelopeError) -> Self {
+        match e {
+            EnvelopeError::Truncated => SegmentError::Truncated,
+            EnvelopeError::BadMagic => SegmentError::BadMagic,
+            EnvelopeError::UnsupportedVersion { found } => {
+                SegmentError::UnsupportedVersion { found }
+            }
+            EnvelopeError::WrongKind { expected, found } => {
+                SegmentError::WrongKind { expected, found }
+            }
+            EnvelopeError::ChecksumMismatch => SegmentError::ChecksumMismatch,
+            EnvelopeError::TrailingBytes => SegmentError::TrailingBytes,
+        }
+    }
+}
+
 fn malformed(detail: impl Into<String>) -> SegmentError {
     SegmentError::Malformed {
         detail: detail.into(),
     }
-}
-
-/// FNV-1a 64-bit hash — the same corruption detector the checkpoint codec
-/// uses.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Random-access byte source a segment is read through.
@@ -484,120 +473,18 @@ impl BlockSource for MemSource {
 }
 
 // ---------------------------------------------------------------------------
-// Envelope + payload primitives
+// Section and payload primitives
 // ---------------------------------------------------------------------------
 
-/// Wraps `payload` in the magic/version/kind/length/checksum envelope (the
-/// PR 6 checkpoint-codec idiom, under the segment's own magic).
-fn seal(version: u16, kind: u8, payload: &[u8], out: &mut Vec<u8>) {
-    out.reserve(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&SEGMENT_MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&(cast::to_u64(payload.len())).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+/// Validates the envelope of one section of `kind` and returns its payload.
+fn open_section(bytes: &[u8], kind: u8) -> Result<&[u8], SegmentError> {
+    Ok(envelope::open(ENVELOPE, bytes, kind)?)
 }
 
-/// Validates the envelope of one section and returns its format version and
-/// payload slice. Every layer is checked in order — magic, version, kind,
-/// exact length, checksum — before a single payload byte is interpreted.
-fn open_envelope(bytes: &[u8], expected_kind: u8) -> Result<(u16, &[u8]), SegmentError> {
-    if bytes.len() < 4 {
-        return Err(SegmentError::Truncated);
-    }
-    if bytes[..4] != SEGMENT_MAGIC {
-        return Err(SegmentError::BadMagic);
-    }
-    if bytes.len() < HEADER_LEN {
-        return Err(SegmentError::Truncated);
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version == 0 || version > SEGMENT_VERSION {
-        return Err(SegmentError::UnsupportedVersion { found: version });
-    }
-    let kind = bytes[6];
-    if kind != expected_kind {
-        return Err(SegmentError::WrongKind {
-            expected: expected_kind,
-            found: kind,
-        });
-    }
-    let len = le_u64(&bytes[7..15]);
-    let Ok(len) = usize::try_from(len) else {
-        return Err(SegmentError::Truncated);
-    };
-    let Some(total) = HEADER_LEN
-        .checked_add(len)
-        .and_then(|n| n.checked_add(CHECKSUM_LEN))
-    else {
-        return Err(SegmentError::Truncated);
-    };
-    if bytes.len() < total {
-        return Err(SegmentError::Truncated);
-    }
-    if bytes.len() > total {
-        return Err(SegmentError::TrailingBytes);
-    }
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + len];
-    let stored = le_u64(&bytes[total - CHECKSUM_LEN..]);
-    if fnv1a64(payload) != stored {
-        return Err(SegmentError::ChecksumMismatch);
-    }
-    Ok((version, payload))
-}
-
-/// A bounds-checked cursor over a section payload; every read surfaces
-/// [`SegmentError::Truncated`] instead of panicking.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SegmentError> {
-        let end = self.pos.checked_add(n).ok_or(SegmentError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(SegmentError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, SegmentError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SegmentError> {
-        Ok(le_u32(self.take(4)?))
-    }
-
-    fn u64(&mut self) -> Result<u64, SegmentError> {
-        Ok(le_u64(self.take(8)?))
-    }
-
-    fn usize(&mut self) -> Result<usize, SegmentError> {
-        usize::try_from(self.u64()?).map_err(|_| SegmentError::Truncated)
-    }
-
-    fn string(&mut self) -> Result<String, SegmentError> {
-        let len = self.usize()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| malformed("non-UTF-8 string"))
-    }
-
-    fn finish(&self) -> Result<(), SegmentError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(SegmentError::TrailingBytes)
-        }
-    }
+fn read_string(cur: &mut Reader<'_>) -> Result<String, SegmentError> {
+    let len = cur.usize()?;
+    let bytes = cur.take(len)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| malformed("non-UTF-8 string"))
 }
 
 fn write_string(s: &str, out: &mut Vec<u8>) {
@@ -669,7 +556,7 @@ fn pack_u32s(values: &[u32], out: &mut Vec<u8>) {
     }
 }
 
-fn unpack_u64s(cur: &mut Cursor<'_>) -> Result<Vec<u64>, SegmentError> {
+fn unpack_u64s(cur: &mut Reader<'_>) -> Result<Vec<u64>, SegmentError> {
     let count = cast::to_usize(cur.u32()?);
     let min = cur.u64()?;
     let width = u32::from(cur.u8()?);
@@ -704,7 +591,7 @@ fn unpack_u64s(cur: &mut Cursor<'_>) -> Result<Vec<u64>, SegmentError> {
     Ok(out)
 }
 
-fn unpack_u32s(cur: &mut Cursor<'_>) -> Result<Vec<u32>, SegmentError> {
+fn unpack_u32s(cur: &mut Reader<'_>) -> Result<Vec<u32>, SegmentError> {
     let count = cast::to_usize(cur.u32()?);
     let min = cur.u32()?;
     let width = u32::from(cur.u8()?);
@@ -741,14 +628,14 @@ fn unpack_u32s(cur: &mut Cursor<'_>) -> Result<Vec<u32>, SegmentError> {
 }
 
 // ---------------------------------------------------------------------------
-// v2 chunk codecs
+// Chunk codecs
 // ---------------------------------------------------------------------------
 //
-// A v2 u32 chunk payload is `tag (u8) · min (u32) · max (u32) · body`. The
+// A u32 chunk payload is `tag (u8) · min (u32) · max (u32) · body`. The
 // min/max header gives the compressed-domain evaluator exact whole-chunk
 // pruning; the tag selects the body layout:
 //
-//   CODEC_FOR  — the v1 FOR/bit-packed block, unchanged.
+//   CODEC_FOR  — pack_u32s(values): one FOR/bit-packed block.
 //   CODEC_DICT — pack_u32s(sorted strictly-ascending dictionary) followed by
 //                pack_u32s(codes); value i is dict[codes[i]].
 //   CODEC_RLE  — pack_u32s(run values) followed by pack_u32s(run lengths);
@@ -757,9 +644,9 @@ fn unpack_u32s(cur: &mut Cursor<'_>) -> Result<Vec<u32>, SegmentError> {
 // The writer encodes all three and keeps the smallest (ties break
 // FOR < DICT < RLE), so output stays deterministic.
 
-/// Encodes one u32 chunk under the v2 tagged layout, picking the smallest
+/// Encodes one u32 chunk under the tagged layout, picking the smallest
 /// body among FOR/bitpack, dictionary + packed codes, and RLE runs.
-fn encode_u32_chunk_v2(values: &[u32], out: &mut Vec<u8>) {
+fn encode_u32_chunk(values: &[u32], out: &mut Vec<u8>) {
     let min = values.iter().copied().min().unwrap_or(0);
     let max = values.iter().copied().max().unwrap_or(0);
 
@@ -807,22 +694,12 @@ fn encode_u32_chunk_v2(values: &[u32], out: &mut Vec<u8>) {
     out.extend_from_slice(&body);
 }
 
-/// Decodes a u32 chunk payload under `version`, returning the values and
-/// the codec tag that produced them (v1 payloads are untagged FOR blocks).
-/// Validates codec invariants — strictly ascending dictionary, in-range
-/// codes, canonical runs, header min/max matching the decoded content —
-/// but leaves kind-specific range checks to the caller.
-fn decode_u32_payload(
-    version: u16,
-    payload: &[u8],
-    expected_len: usize,
-) -> Result<(Vec<u32>, u8), SegmentError> {
-    let mut cur = Cursor::new(payload);
-    if version == 1 {
-        let vals = unpack_u32s(&mut cur)?;
-        cur.finish()?;
-        return Ok((vals, CODEC_FOR));
-    }
+/// Decodes a u32 chunk payload, returning the values and the codec tag
+/// that produced them. Validates codec invariants — strictly ascending
+/// dictionary, in-range codes, canonical runs, header min/max matching the
+/// decoded content — but leaves kind-specific range checks to the caller.
+fn decode_u32_payload(payload: &[u8], expected_len: usize) -> Result<(Vec<u32>, u8), SegmentError> {
+    let mut cur = Reader::new(payload);
     let tag = cur.u8()?;
     let cmin = cur.u32()?;
     let cmax = cur.u32()?;
@@ -898,7 +775,7 @@ fn clear_bits(words: &mut [u64], from: usize, to: usize) {
 /// the block's frame of reference once and each delta is tested branch-free
 /// as it streams out of the packed words.
 fn eval_for_body(
-    cur: &mut Cursor<'_>,
+    cur: &mut Reader<'_>,
     lo: Value,
     hi: Value,
     expected_len: usize,
@@ -922,7 +799,7 @@ fn eval_for_body(
     let nwords = cast::to_usize((cast::to_u64(count) * u64::from(width)).div_ceil(64));
     let bytes = cur.take(nwords * 8)?;
     // Conservative whole-block prune from the frame of reference alone
-    // (exact for v1 blocks, which carry no min/max header).
+    // (dictionary codes carry no min/max header of their own).
     let ceiling = u64::from(min) + ((1u64 << width) - 1);
     if hi < min || u64::from(lo) > ceiling {
         words.fill(0);
@@ -961,7 +838,7 @@ fn eval_for_body(
 /// becomes a code range via two binary searches over the sorted dictionary,
 /// then the packed codes are streamed through [`eval_for_body`].
 fn eval_dict_body(
-    cur: &mut Cursor<'_>,
+    cur: &mut Reader<'_>,
     lo: Value,
     hi: Value,
     expected_len: usize,
@@ -987,7 +864,7 @@ fn eval_dict_body(
 /// whole runs outside `[lo, hi]` clear their bit span without per-value
 /// work.
 fn eval_rle_body(
-    cur: &mut Cursor<'_>,
+    cur: &mut Reader<'_>,
     lo: Value,
     hi: Value,
     expected_len: usize,
@@ -1017,21 +894,16 @@ fn eval_rle_body(
 
 /// Evaluates `value ∈ [lo, hi]` for every value of one u32 chunk section
 /// payload, AND-ing the result into `words` — never materializing a decoded
-/// vector. v2 payloads prune whole chunks from the min/max header before
-/// the body is even parsed.
+/// vector. Whole chunks are pruned from the min/max header before the body
+/// is even parsed.
 fn eval_u32_payload(
-    version: u16,
     payload: &[u8],
     lo: Value,
     hi: Value,
     expected_len: usize,
     words: &mut [u64],
 ) -> Result<(), SegmentError> {
-    let mut cur = Cursor::new(payload);
-    if version == 1 {
-        eval_for_body(&mut cur, lo, hi, expected_len, words)?;
-        return cur.finish();
-    }
+    let mut cur = Reader::new(payload);
     let tag = cur.u8()?;
     let cmin = cur.u32()?;
     let cmax = cur.u32()?;
@@ -1051,7 +923,7 @@ fn eval_u32_payload(
         CODEC_RLE => eval_rle_body(&mut cur, lo, hi, expected_len, words)?,
         t => return Err(malformed(format!("undefined chunk codec tag {t}"))),
     }
-    cur.finish()
+    Ok(cur.finish()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -1110,7 +982,6 @@ fn role_from_tag(tag: u8) -> Result<AttributeRole, SegmentError> {
 #[derive(Debug, Clone)]
 pub struct SegmentWriter {
     chunk: usize,
-    version: u16,
 }
 
 impl Default for SegmentWriter {
@@ -1120,12 +991,10 @@ impl Default for SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// A writer with the default chunk size ([`DEFAULT_CHUNK`]) and the
-    /// newest format version ([`SEGMENT_VERSION`]).
+    /// A writer with the default chunk size ([`DEFAULT_CHUNK`]).
     pub fn new() -> Self {
         SegmentWriter {
             chunk: DEFAULT_CHUNK,
-            version: SEGMENT_VERSION,
         }
     }
 
@@ -1141,31 +1010,6 @@ impl SegmentWriter {
         );
         self.chunk = chunk;
         self
-    }
-
-    /// Overrides the format version to write. Version 1 reproduces the
-    /// legacy untagged FOR/bit-packed layout byte-identically; version 2
-    /// adds the per-chunk codec headers.
-    ///
-    /// # Panics
-    /// Panics unless `version` is in `1..=SEGMENT_VERSION`.
-    pub fn with_format_version(mut self, version: u16) -> Self {
-        assert!(
-            (1..=SEGMENT_VERSION).contains(&version),
-            "format version must be in 1..={SEGMENT_VERSION}"
-        );
-        self.version = version;
-        self
-    }
-
-    /// Encodes one u32 chunk under the writer's format version: raw
-    /// FOR/bitpack for v1, the tagged smallest-of-three codec for v2.
-    fn encode_u32_chunk(&self, values: &[u32], out: &mut Vec<u8>) {
-        if self.version == 1 {
-            pack_u32s(values, out);
-        } else {
-            encode_u32_chunk_v2(values, out);
-        }
     }
 
     /// Serializes `db` into segment bytes. Fails if `db` is itself
@@ -1189,7 +1033,6 @@ impl SegmentWriter {
         let mut file: Vec<u8> = Vec::new();
         let mut dir: Vec<DirEntry> = Vec::new();
         let mut payload: Vec<u8> = Vec::new();
-        let version = self.version;
         let push = |file: &mut Vec<u8>,
                     dir: &mut Vec<DirEntry>,
                     kind: u8,
@@ -1197,7 +1040,7 @@ impl SegmentWriter {
                     chunk: u32,
                     payload: &[u8]| {
             let offset = cast::to_u64(file.len());
-            seal(version, kind, payload, file);
+            envelope::seal(ENVELOPE, kind, payload, file);
             dir.push(DirEntry {
                 kind,
                 attr,
@@ -1214,7 +1057,7 @@ impl SegmentWriter {
                 col.clear();
                 col.extend(slice[chunk_range(c)].iter().map(|t| t.values[attr]));
                 payload.clear();
-                self.encode_u32_chunk(&col, &mut payload);
+                encode_u32_chunk(&col, &mut payload);
                 push(
                     &mut file,
                     &mut dir,
@@ -1251,7 +1094,7 @@ impl SegmentWriter {
             let order = ram.posting_order(attr);
             for c in 0..chunks {
                 payload.clear();
-                self.encode_u32_chunk(&order[chunk_range(c)], &mut payload);
+                encode_u32_chunk(&order[chunk_range(c)], &mut payload);
                 push(
                     &mut file,
                     &mut dir,
@@ -1267,12 +1110,12 @@ impl SegmentWriter {
         if let Some(perm) = ram.perm() {
             for c in 0..chunks {
                 payload.clear();
-                self.encode_u32_chunk(&perm[chunk_range(c)], &mut payload);
+                encode_u32_chunk(&perm[chunk_range(c)], &mut payload);
                 push(&mut file, &mut dir, KIND_PERM, 0, cast::to_u32(c), &payload);
             }
             for c in 0..chunks {
                 payload.clear();
-                self.encode_u32_chunk(&ram.rank_of()[chunk_range(c)], &mut payload);
+                encode_u32_chunk(&ram.rank_of()[chunk_range(c)], &mut payload);
                 push(
                     &mut file,
                     &mut dir,
@@ -1286,7 +1129,7 @@ impl SegmentWriter {
                 let col = ram.rank_col(attr);
                 for c in 0..chunks {
                     payload.clear();
-                    self.encode_u32_chunk(&col[chunk_range(c)], &mut payload);
+                    encode_u32_chunk(&col[chunk_range(c)], &mut payload);
                     push(
                         &mut file,
                         &mut dir,
@@ -1329,7 +1172,7 @@ impl SegmentWriter {
             payload.extend_from_slice(&e.len.to_le_bytes());
         }
         let footer_off = cast::to_u64(file.len());
-        seal(version, KIND_FOOTER, &payload, &mut file);
+        envelope::seal(ENVELOPE, KIND_FOOTER, &payload, &mut file);
         let footer_len = cast::to_u64(file.len()) - footer_off;
 
         // Fixed trailer: how a reader finds the footer from the end.
@@ -1429,7 +1272,7 @@ pub struct StorageStats {
     pub bytes_resident: u64,
     /// The configured cache byte budget (`None` = unbounded sticky cache).
     pub cache_budget: Option<u64>,
-    /// Chunks decoded from the FOR/bit-packed codec (v1 chunks count here).
+    /// Chunks decoded from the FOR/bit-packed codec.
     pub decoded_for: u64,
     /// Chunks decoded from the dictionary codec.
     pub decoded_dict: u64,
@@ -1823,7 +1666,6 @@ impl ChunkPins {
 /// want end-to-end assurance before serving.
 pub struct SegmentReader {
     source: Box<dyn BlockSource>,
-    version: u16,
     options: SegmentOpenOptions,
     n: usize,
     k: usize,
@@ -1848,7 +1690,6 @@ pub struct SegmentReader {
 impl fmt::Debug for SegmentReader {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SegmentReader")
-            .field("version", &self.version)
             .field("n", &self.n)
             .field("k", &self.k)
             .field("chunk", &self.chunk)
@@ -1904,8 +1745,8 @@ impl SegmentReader {
         let mut footer =
             vec![0u8; usize::try_from(footer_len).map_err(|_| SegmentError::Truncated)?];
         source.read_exact_at(footer_off, &mut footer)?;
-        let (version, payload) = open_envelope(&footer, KIND_FOOTER)?;
-        let mut cur = Cursor::new(payload);
+        let payload = open_section(&footer, KIND_FOOTER)?;
+        let mut cur = Reader::new(payload);
 
         let n = usize::try_from(cur.u64()?).map_err(|_| SegmentError::Truncated)?;
         if n > cast::to_usize(u32::MAX) {
@@ -1932,11 +1773,11 @@ impl SegmentReader {
             1 => true,
             t => return Err(malformed(format!("undefined has-perm flag {t}"))),
         };
-        let ranker_name = cur.string()?;
+        let ranker_name = read_string(&mut cur)?;
         let m = usize::try_from(cur.u64()?).map_err(|_| SegmentError::Truncated)?;
         let mut attrs = Vec::with_capacity(m.min(1 << 16));
         for _ in 0..m {
-            let name = cur.string()?;
+            let name = read_string(&mut cur)?;
             let domain_size = cur.u32()?;
             let interface = interface_from_tag(cur.u8()?)?;
             let role = role_from_tag(cur.u8()?)?;
@@ -2047,7 +1888,6 @@ impl SegmentReader {
 
         let mut reader = SegmentReader {
             source,
-            version,
             options,
             n,
             k,
@@ -2076,15 +1916,15 @@ impl SegmentReader {
         for attr in 0..m {
             let e = reader.entry(KIND_STARTS, cast::to_u32(attr), 0)?;
             let bytes = reader.read_entry(e)?;
-            let payload = reader.open_section(&bytes, KIND_STARTS)?;
+            let payload = open_section(&bytes, KIND_STARTS)?;
             let starts = reader.decode_starts_section(attr, payload)?;
             reader.starts.push(starts);
         }
         if has_perm {
             let e = reader.entry(KIND_ZONES, 0, 0)?;
             let bytes = reader.read_entry(e)?;
-            let payload = reader.open_section(&bytes, KIND_ZONES)?;
-            let mut cur = Cursor::new(payload);
+            let payload = open_section(&bytes, KIND_ZONES)?;
+            let mut cur = Reader::new(payload);
             for attr in 0..m {
                 let mins = unpack_u32s(&mut cur)?;
                 let maxs = unpack_u32s(&mut cur)?;
@@ -2169,17 +2009,6 @@ impl SegmentReader {
         Ok(buf)
     }
 
-    /// Opens one section envelope, additionally requiring it to carry the
-    /// same format version as the footer (sections of mixed versions never
-    /// come from our writer).
-    fn open_section<'a>(&self, bytes: &'a [u8], kind: u8) -> Result<&'a [u8], SegmentError> {
-        let (version, payload) = open_envelope(bytes, kind)?;
-        if version != self.version {
-            return Err(malformed("mixed segment versions"));
-        }
-        Ok(payload)
-    }
-
     /// Decodes and fully validates one u32 chunk section payload — the one
     /// code path shared by query-time hydration, the compressed-scan decode
     /// fallback and [`SegmentReader::verify`], so a corrupt chunk surfaces
@@ -2192,7 +2021,7 @@ impl SegmentReader {
         expected_len: usize,
         payload: &[u8],
     ) -> Result<Vec<u32>, SegmentError> {
-        let (vals, tag) = decode_u32_payload(self.version, payload, expected_len)?;
+        let (vals, tag) = decode_u32_payload(payload, expected_len)?;
         if vals.len() != expected_len {
             return Err(malformed(format!(
                 "section {}[{attr}, {c}] holds {} values, expected {expected_len}",
@@ -2228,7 +2057,7 @@ impl SegmentReader {
 
     /// Decodes and validates one ids chunk payload (shared with `verify`).
     fn decode_ids_section(&self, c: usize, payload: &[u8]) -> Result<Vec<u64>, SegmentError> {
-        let mut cur = Cursor::new(payload);
+        let mut cur = Reader::new(payload);
         let vals = unpack_u64s(&mut cur)?;
         cur.finish()?;
         if vals.len() != self.chunk_len(c) {
@@ -2244,7 +2073,7 @@ impl SegmentReader {
     /// Decodes and validates one posting prefix-count payload (shared with
     /// `verify`).
     fn decode_starts_section(&self, attr: usize, payload: &[u8]) -> Result<Vec<u32>, SegmentError> {
-        let mut cur = Cursor::new(payload);
+        let mut cur = Reader::new(payload);
         let starts = unpack_u32s(&mut cur)?;
         cur.finish()?;
         let d = cast::to_usize(self.schema.attr(attr).domain_size);
@@ -2269,7 +2098,7 @@ impl SegmentReader {
     /// Opens, decodes and fully validates chunk `c` of the `(kind, attr)`
     /// stream from its section bytes, then narrows it (see [`Col`]).
     fn decode_col(&self, kind: u8, attr: u32, c: usize, bytes: &[u8]) -> Result<Col, SegmentError> {
-        let payload = self.open_section(bytes, kind)?;
+        let payload = open_section(bytes, kind)?;
         Ok(if kind == KIND_IDS {
             Col::narrow(&self.decode_ids_section(c, payload)?)
         } else {
@@ -2575,8 +2404,8 @@ impl SegmentReader {
                 }
                 for (ai, &(_, lo, hi)) in cons.iter().enumerate() {
                     let bytes = &bufs[ai * per_attr + (c - batch)];
-                    let payload = self.open_section(bytes, KIND_STORE_COL)?;
-                    eval_u32_payload(self.version, payload, lo, hi, len, words)?;
+                    let payload = open_section(bytes, KIND_STORE_COL)?;
+                    eval_u32_payload(payload, lo, hi, len, words)?;
                     if words.iter().all(|&w| w == 0) {
                         break;
                     }
@@ -2633,17 +2462,11 @@ impl SegmentReader {
                 continue;
             }
             let bytes = self.read_entry(*e)?;
-            let payload = self.open_section(&bytes, e.kind)?;
-            let tag = if self.version == 1 {
-                CODEC_FOR
-            } else {
-                let mut cur = Cursor::new(payload);
-                let tag = cur.u8()?;
-                if tag > CODEC_RLE {
-                    return Err(malformed(format!("undefined chunk codec tag {tag}")));
-                }
-                tag
-            };
+            let payload = open_section(&bytes, e.kind)?;
+            let tag = Reader::new(payload).u8()?;
+            if tag > CODEC_RLE {
+                return Err(malformed(format!("undefined chunk codec tag {tag}")));
+            }
             let raw = 4 * cast::to_u64(self.chunk_len(cast::to_usize(e.chunk)));
             census.chunks[cast::to_usize(tag)] += 1;
             census.encoded_bytes[cast::to_usize(tag)] += cast::to_u64(payload.len());
@@ -2850,10 +2673,10 @@ impl SegmentReader {
         let mut rank_of_all: Vec<u32> = Vec::new();
         for e in &self.dir {
             let bytes = self.read_entry(*e)?;
-            let payload = self.open_section(&bytes, e.kind)?;
+            let payload = open_section(&bytes, e.kind)?;
             match e.kind {
                 KIND_ZONES => {
-                    let mut cur = Cursor::new(payload);
+                    let mut cur = Reader::new(payload);
                     let blocks = n.div_ceil(BLOCK);
                     for _ in 0..self.schema.len() {
                         for vals in [unpack_u32s(&mut cur)?, unpack_u32s(&mut cur)?] {
@@ -2907,6 +2730,7 @@ impl SegmentReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::{CHECKSUM_LEN, HEADER_LEN};
     use crate::{Query, SchemaBuilder, SumRanker};
 
     #[test]
@@ -2918,7 +2742,7 @@ mod tests {
                 .collect();
             let mut bytes = Vec::new();
             pack_u32s(&values, &mut bytes);
-            let mut cur = Cursor::new(&bytes);
+            let mut cur = Reader::new(&bytes);
             let back = unpack_u32s(&mut cur).unwrap();
             cur.finish().unwrap();
             assert_eq!(back, values, "width {width}");
@@ -2926,7 +2750,7 @@ mod tests {
         let values: Vec<u64> = (0..99).map(|i| u64::MAX - i * 12345).collect();
         let mut bytes = Vec::new();
         pack_u64s(&values, &mut bytes);
-        let mut cur = Cursor::new(&bytes);
+        let mut cur = Reader::new(&bytes);
         assert_eq!(unpack_u64s(&mut cur).unwrap(), values);
         cur.finish().unwrap();
     }
@@ -2938,7 +2762,7 @@ mod tests {
             pack_u32s(&values, &mut bytes);
             // Constant (or empty) runs cost exactly the 9-byte header.
             assert_eq!(bytes.len(), 9);
-            let mut cur = Cursor::new(&bytes);
+            let mut cur = Reader::new(&bytes);
             assert_eq!(unpack_u32s(&mut cur).unwrap(), values);
             cur.finish().unwrap();
         }
@@ -2947,48 +2771,42 @@ mod tests {
     #[test]
     fn envelope_rejections_are_typed() {
         let mut sealed = Vec::new();
-        seal(SEGMENT_VERSION, KIND_PERM, b"payload", &mut sealed);
+        envelope::seal(ENVELOPE, KIND_PERM, b"payload", &mut sealed);
+        assert_eq!(open_section(&sealed, KIND_PERM), Ok(&b"payload"[..]));
         assert_eq!(
-            open_envelope(&sealed, KIND_PERM),
-            Ok((SEGMENT_VERSION, &b"payload"[..]))
-        );
-        let mut v1 = Vec::new();
-        seal(1, KIND_PERM, b"payload", &mut v1);
-        assert_eq!(open_envelope(&v1, KIND_PERM), Ok((1, &b"payload"[..])));
-        assert_eq!(
-            open_envelope(&sealed, KIND_ORDER),
+            open_section(&sealed, KIND_ORDER),
             Err(SegmentError::WrongKind {
                 expected: KIND_ORDER,
                 found: KIND_PERM
             })
         );
         assert_eq!(
-            open_envelope(&sealed[..3], KIND_PERM),
+            open_section(&sealed[..3], KIND_PERM),
             Err(SegmentError::Truncated)
         );
         let mut foreign = sealed.clone();
         foreign[0] = b'X';
         assert_eq!(
-            open_envelope(&foreign, KIND_PERM),
+            open_section(&foreign, KIND_PERM),
             Err(SegmentError::BadMagic)
         );
         let mut future = sealed.clone();
         future[4] = 9;
         assert_eq!(
-            open_envelope(&future, KIND_PERM),
+            open_section(&future, KIND_PERM),
             Err(SegmentError::UnsupportedVersion { found: 9 })
         );
         let mut flipped = sealed.clone();
         let last = flipped.len() - 9;
         flipped[last] ^= 1;
         assert_eq!(
-            open_envelope(&flipped, KIND_PERM),
+            open_section(&flipped, KIND_PERM),
             Err(SegmentError::ChecksumMismatch)
         );
         let mut trailing = sealed.clone();
         trailing.push(0);
         assert_eq!(
-            open_envelope(&trailing, KIND_PERM),
+            open_section(&trailing, KIND_PERM),
             Err(SegmentError::TrailingBytes)
         );
     }
@@ -3083,16 +2901,16 @@ mod tests {
             (for_shaped, CODEC_FOR),
         ] {
             let mut payload = Vec::new();
-            encode_u32_chunk_v2(&vals, &mut payload);
+            encode_u32_chunk(&vals, &mut payload);
             assert_eq!(payload[0], want_tag, "codec choice");
-            let (back, tag) = decode_u32_payload(2, &payload, vals.len()).unwrap();
+            let (back, tag) = decode_u32_payload(&payload, vals.len()).unwrap();
             assert_eq!(tag, want_tag);
             assert_eq!(back, vals);
         }
         // Empty chunks round-trip under the tie-break winner (FOR).
         let mut payload = Vec::new();
-        encode_u32_chunk_v2(&[], &mut payload);
-        assert_eq!(decode_u32_payload(2, &payload, 0).unwrap().0, vec![]);
+        encode_u32_chunk(&[], &mut payload);
+        assert_eq!(decode_u32_payload(&payload, 0).unwrap().0, vec![]);
     }
 
     #[test]
@@ -3117,60 +2935,43 @@ mod tests {
         for vals in &shapes {
             let nwords = vals.len().div_ceil(64);
             let tail = vals.len() % 64;
-            // v2 tagged payload and a v1 raw FOR payload must agree with the
-            // hydrate-then-filter reference on every bound.
-            let mut v2 = Vec::new();
-            encode_u32_chunk_v2(vals, &mut v2);
-            let mut v1 = Vec::new();
-            pack_u32s(vals, &mut v1);
+            // The tagged payload must agree with the hydrate-then-filter
+            // reference on every bound.
+            let mut payload = Vec::new();
+            encode_u32_chunk(vals, &mut payload);
             for &(lo, hi) in &bounds {
-                for (version, payload) in [(2u16, &v2), (1u16, &v1)] {
-                    let mut words = vec![u64::MAX; nwords];
-                    if tail != 0 {
-                        words[nwords - 1] = (1u64 << tail) - 1;
-                    }
-                    eval_u32_payload(version, payload, lo, hi, vals.len(), &mut words).unwrap();
-                    for (i, &v) in vals.iter().enumerate() {
-                        let bit = (words[i / 64] >> (i % 64)) & 1 == 1;
-                        assert_eq!(
-                            bit,
-                            v >= lo && v <= hi,
-                            "v{version} value {v} at {i} under [{lo}, {hi}]"
-                        );
-                    }
+                let mut words = vec![u64::MAX; nwords];
+                if tail != 0 {
+                    words[nwords - 1] = (1u64 << tail) - 1;
+                }
+                eval_u32_payload(&payload, lo, hi, vals.len(), &mut words).unwrap();
+                for (i, &v) in vals.iter().enumerate() {
+                    let bit = (words[i / 64] >> (i % 64)) & 1 == 1;
+                    assert_eq!(
+                        bit,
+                        v >= lo && v <= hi,
+                        "value {v} at {i} under [{lo}, {hi}]"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn v1_format_version_still_writes_and_answers_identically() {
-        let db = tiny_db();
-        let bytes = SegmentWriter::new()
-            .with_format_version(1)
+    fn a_v1_segment_is_rejected_with_a_typed_error() {
+        let mut bytes = SegmentWriter::new()
             .with_chunk_size(64)
-            .write(&db)
+            .write(&tiny_db())
             .unwrap();
-        let reader = SegmentReader::open(Box::new(MemSource::new(bytes.clone()))).unwrap();
-        assert_eq!(reader.version, 1);
-        reader.verify().unwrap();
-        let seg =
-            HiddenDb::open_segment_source(Box::new(MemSource::new(bytes)), Box::new(SumRanker))
-                .unwrap();
-        let q = Query::new(vec![crate::Predicate::lt(0, 7)]);
+        // The trailer locates the footer; patch its envelope's version field
+        // (not covered by any checksum) from 2 to 1.
+        let trailer = bytes.len() - TRAILER_LEN;
+        let footer = usize::try_from(le_u64(&bytes[trailer + 8..trailer + 16])).unwrap();
+        assert_eq!(bytes[footer + 4..footer + 6], SEGMENT_VERSION.to_le_bytes());
+        bytes[footer + 4..footer + 6].copy_from_slice(&1u16.to_le_bytes());
         assert_eq!(
-            db.query(&q)
-                .unwrap()
-                .tuples
-                .iter()
-                .map(|t| t.id)
-                .collect::<Vec<_>>(),
-            seg.query(&q)
-                .unwrap()
-                .tuples
-                .iter()
-                .map(|t| t.id)
-                .collect::<Vec<_>>()
+            SegmentReader::open(Box::new(MemSource::new(bytes))).unwrap_err(),
+            SegmentError::UnsupportedVersion { found: 1 }
         );
     }
 

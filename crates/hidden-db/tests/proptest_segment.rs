@@ -222,24 +222,6 @@ proptest! {
             assert_same_behavior(&ram, &seg);
         }
     }
-
-    /// The legacy v1 on-disk format still writes, scrubs clean, and answers
-    /// identically to the in-RAM build.
-    #[test]
-    fn v1_segment_round_trip_is_byte_identical(spec in db_spec(), chunk_exp in 0u32..=2) {
-        let ram = build_db(&spec);
-        let bytes = SegmentWriter::new()
-            .with_format_version(1)
-            .with_chunk_size(64usize << chunk_exp)
-            .write(&ram)
-            .expect("RAM-backed databases always serialize");
-        SegmentReader::open(Box::new(MemSource::new(bytes.clone())))
-            .expect("fresh v1 segment opens")
-            .verify()
-            .expect("fresh v1 segment scrubs clean");
-        let seg = open_mem(bytes).expect("fresh v1 segment opens as a database");
-        assert_same_behavior(&ram, &seg);
-    }
 }
 
 /// A small but structurally complete segment (multiple chunks, all three

@@ -4,8 +4,7 @@ use proptest::prelude::*;
 
 use skyweb_hidden_db::{dominates_on, Tuple};
 use skyweb_skyline::{
-    bnl_skyline_on, dnc_skyline_on, dominance_counts, is_skyline_member, same_ids, sfs_skyline_on,
-    skyband_on,
+    bnl_skyline_on, dominance_counts, is_skyline_member, same_ids, sfs_skyline_on, skyband_on,
 };
 
 fn tuples_strategy() -> impl Strategy<Value = Vec<Tuple>> {
@@ -26,15 +25,13 @@ fn attrs(tuples: &[Tuple]) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
 
-    /// BNL, SFS and divide-and-conquer always agree.
+    /// BNL and SFS always agree.
     #[test]
     fn all_skyline_algorithms_agree(tuples in tuples_strategy()) {
         let a = attrs(&tuples);
         let bnl = bnl_skyline_on(&tuples, &a);
         let sfs = sfs_skyline_on(&tuples, &a);
-        let dnc = dnc_skyline_on(&tuples, &a);
         prop_assert!(same_ids(&bnl, &sfs));
-        prop_assert!(same_ids(&bnl, &dnc));
     }
 
     /// The skyline contains exactly the non-dominated tuples.

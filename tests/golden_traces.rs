@@ -139,15 +139,13 @@ fn fig15_style_db(n: usize) -> HiddenDb {
 /// segment store (write → reopen from bytes) so a golden workload can run
 /// against the lazily-hydrating segment backend instead of the RAM build.
 fn seg_clone(db: &HiddenDb) -> HiddenDb {
-    seg_clone_with(db, 2, SegmentOpenOptions::new())
+    seg_clone_with(db, SegmentOpenOptions::new())
 }
 
-/// [`seg_clone`] with an explicit on-disk format version and open options —
-/// the goldens run under v1 files, v2 files and an eviction-forcing cache
-/// budget.
-fn seg_clone_with(db: &HiddenDb, version: u16, options: SegmentOpenOptions) -> HiddenDb {
+/// [`seg_clone`] with explicit open options — the goldens run with an
+/// unbounded cache and under an eviction-forcing cache budget.
+fn seg_clone_with(db: &HiddenDb, options: SegmentOpenOptions) -> HiddenDb {
     let bytes = SegmentWriter::new()
-        .with_format_version(version)
         .write(db)
         .expect("RAM-backed databases always serialize");
     HiddenDb::open_segment_source_with(
@@ -299,7 +297,7 @@ fn small_db(m: usize, itf: Option<InterfaceType>) -> HiddenDb {
 }
 
 /// Runs one machine to completion on the RAM build and on segment
-/// round-trips of the *same* database — a v1 file, a v2 file, and a v2 file
+/// round-trips of the *same* database — one with an unbounded cache and one
 /// behind a cache budget tiny enough to force mid-run eviction — asserting
 /// results, exact costs and access-log fingerprints identical on every
 /// backend.
@@ -314,17 +312,15 @@ fn assert_segment_matches_ram(
         .run()
         .expect("RAM run");
 
-    let variants: [(&str, u16, SegmentOpenOptions); 3] = [
-        ("v1", 1, SegmentOpenOptions::new()),
-        ("v2", 2, SegmentOpenOptions::new()),
+    let variants: [(&str, SegmentOpenOptions); 2] = [
+        ("unbounded-cache", SegmentOpenOptions::new()),
         (
-            "v2+tiny-cache",
-            2,
+            "tiny-cache",
             SegmentOpenOptions::new().with_cache_budget(4_096),
         ),
     ];
-    for (variant, version, options) in variants {
-        let seg_db = seg_clone_with(&mk_db(), version, options);
+    for (variant, options) in variants {
+        let seg_db = seg_clone_with(&mk_db(), options);
         seg_db.enable_access_log();
         let seg = DiscoveryDriver::new(&seg_db, mk_machine(&seg_db), DriverConfig::new())
             .run()
