@@ -381,7 +381,7 @@ fn main() -> ExitCode {
     let _ = writeln!(
         json,
         "  \"notes\": \"cold_open reads trailer + footer + prefix counts + zone maps only; \
-         warm queries hydrate per-4096-tuple chunks on first touch{}\"",
+         warm queries decode per-4096-value chunks on first touch{}\"",
         if self_built {
             "; peak_rss_kb includes the in-process segment build — pass --segment for the \
              lazy-hydration RSS"

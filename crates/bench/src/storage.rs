@@ -13,6 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+use skyweb_hidden_db::envelope::{fnv1a64, fnv1a64_extend, u64_of};
 use skyweb_hidden_db::{HiddenDb, Ranker, SegmentOpenOptions, SEGMENT_VERSION};
 
 static SEGMENT_DIR: OnceLock<PathBuf> = OnceLock::new();
@@ -36,8 +37,8 @@ pub fn segment_dir() -> Option<&'static Path> {
 
 /// Caps the decoded-chunk cache of every segment-backed database at `bytes`
 /// (`experiments --cache-budget`). Call once, before any figure runs;
-/// returns `Err` if a budget was already set. Without a budget the cache is
-/// unbounded (sticky hydration). Figure output is byte-identical either way
+/// returns `Err` if a budget was already set. Without a budget the cache
+/// never evicts. Figure output is byte-identical either way
 /// — eviction is a memory policy, not a semantic one — which is exactly
 /// what the CI storage job diffs.
 pub fn set_cache_budget(bytes: u64) -> Result<(), String> {
@@ -56,22 +57,15 @@ pub fn cache_budget() -> Option<u64> {
 /// databases with equal fingerprints produce byte-identical segments, so
 /// the fingerprint doubles as the cache key.
 pub fn db_content_fingerprint(db: &HiddenDb) -> u64 {
-    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = SEED;
-    let mut write = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = fnv1a64(&[]);
+    let mut write = |bytes: &[u8]| h = fnv1a64_extend(h, bytes);
     for attr in 0..db.schema().len() {
         let spec = db.schema().attr(attr);
         write(spec.name.as_bytes());
         write(&spec.domain_size.to_le_bytes());
         write(&[spec.interface as u8, spec.role as u8]);
     }
-    write(&(db.k() as u64).to_le_bytes());
+    write(&u64_of(db.k()).to_le_bytes());
     write(db.ranker_name().as_bytes());
     for t in db.oracle_tuples().iter() {
         write(&t.id.to_le_bytes());

@@ -91,7 +91,6 @@ const WIRE_REGISTRY: &[(&str, u64, &str)] = &[
     ("KIND_STORE_COL", 7, "crates/hidden-db/src/segment.rs"),
     ("KIND_ORDER", 8, "crates/hidden-db/src/segment.rs"),
     ("KIND_IDS", 9, "crates/hidden-db/src/segment.rs"),
-    ("KIND_TUPLE_CACHE", 200, "crates/hidden-db/src/segment.rs"),
     // SWSG v2 per-chunk codec tags.
     ("CODEC_FOR", 0, "crates/hidden-db/src/segment.rs"),
     ("CODEC_DICT", 1, "crates/hidden-db/src/segment.rs"),

@@ -69,7 +69,7 @@ use std::fmt;
 use std::sync::Arc;
 
 pub(crate) use skyweb_hidden_db::envelope::Reader;
-use skyweb_hidden_db::envelope::{self, EnvelopeError, Format};
+use skyweb_hidden_db::envelope::{self, u64_of, EnvelopeError, Format};
 use skyweb_hidden_db::{
     AttributeRole, AttributeSpec, CmpOp, InterfaceType, Predicate, PrefixGroup, Query, QueryError,
     QueryResponse, Schema, SegmentError, Tuple,
@@ -197,12 +197,6 @@ impl From<EnvelopeError> for CodecError {
             EnvelopeError::TrailingBytes => CodecError::TrailingBytes,
         }
     }
-}
-
-/// Widens a `usize` to the wire's `u64` without an `as` cast (lint L2
-/// bans bare casts on wire paths); infallible on supported targets.
-pub(crate) fn u64_of(v: usize) -> u64 {
-    u64::try_from(v).unwrap_or(u64::MAX)
 }
 
 /// Wraps `payload` in a codec envelope of `kind`.

@@ -365,8 +365,8 @@ impl HiddenDb {
 
     /// [`HiddenDb::open_segment_source`] with explicit open options: a
     /// chunk-cache byte budget (bounded working set with clock eviction
-    /// instead of sticky hydration) and a switch for compressed-domain
-    /// predicate filtering.
+    /// instead of keeping every decoded chunk) and a switch for
+    /// compressed-domain predicate filtering.
     pub fn open_segment_source_with(
         source: Box<dyn BlockSource>,
         ranker: Box<dyn Ranker>,

@@ -628,7 +628,8 @@ impl QueryIndex {
                 let take = k.min(self.n);
                 let mut returned = Vec::with_capacity(take);
                 for r in 0..take {
-                    returned.push(store.try_share(self.perm_at(&mut scratch.pins, r)? as usize)?);
+                    let idx = self.perm_at(&mut scratch.pins, r)? as usize;
+                    returned.push(store.try_share(&mut scratch.pins, idx)?);
                 }
                 Ok(ExecOutcome {
                     returned,
@@ -655,9 +656,8 @@ impl QueryIndex {
                 // cheapest in the compressed domain (store chunks filtered
                 // without unpacking, zero cache traffic — hydrating them
                 // would decode on every miss and churn the budget);
-                // with the unbounded sticky cache decoded chunks stay
-                // resident forever, so the posting walk is cheaper and the
-                // plan stays on it.
+                // without a budget decoded chunks stay resident forever,
+                // so the posting walk is cheaper and the plan stays on it.
                 if !need_matched && count * BLOCK_SCAN_CROSSOVER_DEN >= self.n {
                     self.rank_scan(k, store, scratch)
                 } else if count * BLOCK_SCAN_CROSSOVER_DEN >= self.n
@@ -742,7 +742,8 @@ impl QueryIndex {
                     overflowed = true;
                     return Ok(false);
                 }
-                returned.push(store.try_share(self.perm_at(pins, base + lane)? as usize)?);
+                let idx = self.perm_at(pins, base + lane)? as usize;
+                returned.push(store.try_share(pins, idx)?);
             }
             Ok(true)
         })?;
@@ -806,7 +807,8 @@ impl QueryIndex {
         hits.sort_unstable();
         let mut returned = Vec::with_capacity(hits.len());
         for &rank in hits.iter() {
-            returned.push(store.try_share(self.perm_at(pins, rank as usize)? as usize)?);
+            let idx = self.perm_at(pins, rank as usize)? as usize;
+            returned.push(store.try_share(pins, idx)?);
         }
         Ok(ExecOutcome {
             returned,
@@ -817,9 +819,9 @@ impl QueryIndex {
 
     /// Whether the planner should filter store chunks in the compressed
     /// domain: a segment backend with the compressed filter enabled *and* a
-    /// bounded chunk cache. With the sticky unbounded cache, hydrated
-    /// chunks are decoded once and resident forever, so the posting walk
-    /// beats re-scanning compressed bytes on every query.
+    /// bounded chunk cache. Without a budget, chunks are decoded once and
+    /// resident forever, so the posting walk beats re-scanning compressed
+    /// bytes on every query.
     fn compressed_scan_available(&self) -> bool {
         match &self.backend {
             IndexBackend::Ram(_) => false,
@@ -863,7 +865,8 @@ impl QueryIndex {
         hits.sort_unstable();
         let mut returned = Vec::with_capacity(hits.len());
         for &rank in hits.iter() {
-            returned.push(store.try_share(self.perm_at(pins, rank as usize)? as usize)?);
+            let idx = self.perm_at(pins, rank as usize)? as usize;
+            returned.push(store.try_share(pins, idx)?);
         }
         Ok(ExecOutcome {
             returned,
@@ -1147,7 +1150,8 @@ impl QueryIndex {
                 }
                 seen += 1;
                 if seen <= k {
-                    returned.push(store.try_share(self.perm_at(&mut scratch.pins, r)? as usize)?);
+                    let idx = self.perm_at(&mut scratch.pins, r)? as usize;
+                    returned.push(store.try_share(&mut scratch.pins, idx)?);
                 } else if !need_matched {
                     return Ok(ExecOutcome {
                         returned,

@@ -144,13 +144,6 @@ impl Query {
         Query { predicates }
     }
 
-    /// Returns a new query equal to this one with all of `preds` appended.
-    pub fn and_all(&self, preds: &[Predicate]) -> Query {
-        let mut predicates = self.predicates.clone();
-        predicates.extend_from_slice(preds);
-        Query { predicates }
-    }
-
     /// Appends a predicate in place.
     pub fn push(&mut self, pred: Predicate) {
         self.predicates.push(pred);

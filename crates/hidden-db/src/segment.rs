@@ -14,11 +14,11 @@
 //!   permutation, posting orders, tuple ids and the `Arc<Tuple>`s behind
 //!   query responses materialize only when a query first touches their
 //!   chunk (4096 values by default), decoded at the narrowest integer
-//!   width that holds them, and stay cached for the segment's
-//!   lifetime — or, under a cache budget, until evicted; a bounded reader
-//!   pins the chunks a query reads for that query and hydrates response
-//!   tuples one at a time. `Ranker::precompute` never runs on the load
-//!   path.
+//!   width that holds them, and stay in one clock cache until evicted
+//!   (never, without a cache budget). A query pins the chunks it reads
+//!   for its duration and hydrates response tuples one at a time from the
+//!   pinned id and column chunks. `Ranker::precompute` never runs on the
+//!   load path.
 //! * **Every byte is covered by a checksum.** Each section carries the
 //!   shared [`crate::envelope`] (magic + version + kind + length + FNV-1a 64
 //!   checksum) under the segment's own magic; the
@@ -185,11 +185,6 @@ const KIND_ORDER: u8 = 8;
 /// Section kind: one chunk of the tuple ids (u64).
 const KIND_IDS: u8 = 9;
 
-/// Pseudo section kind keying hydrated tuple chunks in the sticky chunk
-/// tables (a bounded reader hydrates one tuple at a time instead). Never
-/// appears on disk.
-const KIND_TUPLE_CACHE: u8 = 200;
-
 /// Chunk codec tag: frame-of-reference + bit-packing.
 const CODEC_FOR: u8 = 0;
 /// Chunk codec tag: sorted dictionary + bit-packed codes.
@@ -199,7 +194,7 @@ const CODEC_RLE: u8 = 2;
 
 /// Chunks fetched per coalesced batch by the compressed-domain store scan.
 const READAHEAD: usize = 8;
-/// Shard count of the bounded chunk cache.
+/// Shard count of the decoded-chunk cache.
 const CACHE_SHARDS: usize = 8;
 /// Approximate per-chunk bookkeeping overhead charged against the cache
 /// budget on top of the decoded payload bytes.
@@ -1220,14 +1215,15 @@ impl Default for SegmentOpenOptions {
 }
 
 impl SegmentOpenOptions {
-    /// The defaults: unbounded sticky cache, compressed-domain filtering on.
+    /// The defaults: unbounded chunk cache, compressed-domain filtering on.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Bounds the decoded-chunk cache to roughly `bytes` (clock eviction,
-    /// [`CACHE_SHARDS`] shards). Without a budget the cache is sticky: every
-    /// decoded chunk stays resident for the reader's lifetime.
+    /// [`CACHE_SHARDS`] shards). Without a budget the same cache never
+    /// evicts: every decoded chunk stays resident for the reader's
+    /// lifetime.
     pub fn with_cache_budget(mut self, bytes: u64) -> Self {
         self.cache_budget = Some(bytes);
         self
@@ -1237,9 +1233,9 @@ impl SegmentOpenOptions {
     /// default). Off forces hydrate-then-filter — the A/B knob behind the
     /// `storage_report` benchmark rows. The planner only takes the
     /// compressed path when the cache is bounded (see
-    /// [`Self::with_cache_budget`]): under the sticky unbounded cache,
-    /// hydrated chunks are decoded once and resident forever, so the
-    /// posting walk is always cheaper.
+    /// [`Self::with_cache_budget`]): without a budget, decoded chunks are
+    /// decoded once and resident forever, so the posting walk is always
+    /// cheaper.
     pub fn with_compressed_filter(mut self, enabled: bool) -> Self {
         self.compressed_filter = enabled;
         self
@@ -1251,9 +1247,9 @@ impl SegmentOpenOptions {
 /// and the `storage_report` benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageStats {
-    /// Chunk lookups served from the decoded-chunk cache. Under a budget
-    /// the engine pins each chunk it reads for the rest of its query, so
-    /// this counts chunk lookups per query, not values read.
+    /// Chunk lookups served from the decoded-chunk cache. The engine pins
+    /// each chunk it reads for the rest of its query, so this counts chunk
+    /// lookups per query, not values read.
     pub cache_hits: u64,
     /// Chunk lookups that decoded from the backing source.
     pub cache_misses: u64,
@@ -1267,10 +1263,9 @@ pub struct StorageStats {
     /// Decoded bytes currently resident in the cache. A decoded chunk is
     /// stored at the narrowest width that holds its values (`u8`, `u16`,
     /// `u32`, or `u64` for ids) and costs `width × len` plus 32 bytes of
-    /// bookkeeping; a hydrated tuple chunk (sticky cache only) costs
-    /// `len × (48 + 4m)` plus 32.
+    /// bookkeeping.
     pub bytes_resident: u64,
-    /// The configured cache byte budget (`None` = unbounded sticky cache).
+    /// The configured cache byte budget (`None` = unbounded cache).
     pub cache_budget: Option<u64>,
     /// Chunks decoded from the FOR/bit-packed codec.
     pub decoded_for: u64,
@@ -1307,8 +1302,8 @@ pub struct CodecCensus {
     pub store_cols: Vec<CodecColumn>,
 }
 
-/// Key of one cached decoded chunk. `kind` is the on-disk section kind,
-/// except [`KIND_TUPLE_CACHE`] which keys hydrated tuple chunks.
+/// Key of one cached decoded chunk: its on-disk section kind, attribute and
+/// chunk number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ChunkKey {
     kind: u8,
@@ -1415,101 +1410,7 @@ fn each_index<W: cast::Word>(
     Ok(())
 }
 
-/// One decoded chunk in the cache: a column of values, or (sticky backing
-/// only) a chunk of hydrated tuples.
-#[derive(Clone)]
-enum CachedChunk {
-    Col(Col),
-    Tuples(Arc<[Arc<Tuple>]>),
-}
-
-impl CachedChunk {
-    fn as_col(&self) -> &Col {
-        match self {
-            CachedChunk::Col(v) => v,
-            _ => unreachable!("cache key/kind confusion"),
-        }
-    }
-
-    fn as_tuples(&self) -> &Arc<[Arc<Tuple>]> {
-        match self {
-            CachedChunk::Tuples(v) => v,
-            _ => unreachable!("cache key/kind confusion"),
-        }
-    }
-}
-
-/// Lock-free sticky tables: one `OnceLock` cell per (kind, attr, chunk), so
-/// the unbounded default pays no mutex on the hot warm-query path.
-struct StickyTables {
-    chunks: usize,
-    perm: Vec<OnceLock<CachedChunk>>,
-    rank_of: Vec<OnceLock<CachedChunk>>,
-    ids: Vec<OnceLock<CachedChunk>>,
-    tuples: Vec<OnceLock<CachedChunk>>,
-    rank_cols: Vec<OnceLock<CachedChunk>>,
-    store_cols: Vec<OnceLock<CachedChunk>>,
-    order: Vec<OnceLock<CachedChunk>>,
-}
-
-fn once_cells(len: usize) -> Vec<OnceLock<CachedChunk>> {
-    let mut v = Vec::with_capacity(len);
-    v.resize_with(len, OnceLock::new);
-    v
-}
-
-impl StickyTables {
-    fn new(m: usize, chunks: usize, has_perm: bool) -> Self {
-        let ranked = if has_perm { chunks } else { 0 };
-        StickyTables {
-            chunks,
-            perm: once_cells(ranked),
-            rank_of: once_cells(ranked),
-            ids: once_cells(chunks),
-            tuples: once_cells(chunks),
-            rank_cols: once_cells(ranked * m),
-            store_cols: once_cells(chunks * m),
-            order: once_cells(chunks * m),
-        }
-    }
-
-    fn slot(&self, key: ChunkKey) -> Option<&OnceLock<CachedChunk>> {
-        let c = cast::to_usize(key.chunk);
-        let flat = cast::to_usize(key.attr) * self.chunks + c;
-        match key.kind {
-            KIND_PERM => self.perm.get(c),
-            KIND_RANK_OF => self.rank_of.get(c),
-            KIND_IDS => self.ids.get(c),
-            KIND_TUPLE_CACHE => self.tuples.get(c),
-            KIND_RANK_COL => self.rank_cols.get(flat),
-            KIND_STORE_COL => self.store_cols.get(flat),
-            KIND_ORDER => self.order.get(flat),
-            _ => None,
-        }
-    }
-}
-
-enum CacheBacking {
-    Sticky(StickyTables),
-    Bounded(ClockCacheCore<StdSync, ChunkKey, CachedChunk>),
-}
-
-/// The decoded-chunk cache behind a [`SegmentReader`]: sticky `OnceLock`
-/// tables when unbounded (the historical behavior), a sharded clock cache
-/// under a byte budget. Hit/miss/eviction counters feed [`StorageStats`].
-///
-/// The bounded backing is a [`ClockCacheCore`] instantiated with the
-/// production [`StdSync`] facade — the same core the `skyweb-check`
-/// interleaving explorer model-checks exhaustively. It maintains its own
-/// counters; the atomics below serve the sticky backing only (which never
-/// evicts).
-struct ChunkCache {
-    backing: CacheBacking,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    resident: AtomicU64,
-}
-
+/// The decoded-chunk cache shard of `key`.
 fn shard_of(key: ChunkKey) -> usize {
     let h = (cast::to_usize(key.chunk))
         .wrapping_mul(0x9E37_79B9)
@@ -1518,129 +1419,16 @@ fn shard_of(key: ChunkKey) -> usize {
     h % CACHE_SHARDS
 }
 
-impl ChunkCache {
-    fn new(m: usize, chunks: usize, has_perm: bool, budget: Option<u64>) -> Self {
-        let backing = match budget {
-            None => CacheBacking::Sticky(StickyTables::new(m, chunks, has_perm)),
-            Some(b) => CacheBacking::Bounded(ClockCacheCore::new(CACHE_SHARDS, b, false)),
-        };
-        ChunkCache {
-            backing,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            resident: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks `key` up, counting a hit or a miss.
-    fn get(&self, key: ChunkKey) -> Option<CachedChunk> {
-        match &self.backing {
-            CacheBacking::Sticky(t) => {
-                let found = t.slot(key).and_then(|cell| cell.get().cloned());
-                let counter = if found.is_some() {
-                    &self.hits
-                } else {
-                    &self.misses
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                found
-            }
-            CacheBacking::Bounded(core) => core.get(shard_of(key), key),
-        }
-    }
-
-    /// `true` if `key` is resident. No counters move — the prefetch peek.
-    fn contains(&self, key: ChunkKey) -> bool {
-        match &self.backing {
-            CacheBacking::Sticky(t) => t.slot(key).is_some_and(|cell| cell.get().is_some()),
-            CacheBacking::Bounded(core) => core.contains(shard_of(key), key),
-        }
-    }
-
-    /// Counts a miss without a lookup — for chunks decoded via a batched
-    /// prefetch rather than [`ChunkCache::get`].
-    fn note_miss(&self) {
-        match &self.backing {
-            CacheBacking::Sticky(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheBacking::Bounded(core) => core.note_miss(),
-        }
-    }
-
-    /// Inserts `data` under `key`, evicting as needed, and returns the
-    /// canonical resident copy (the race winner under the sticky backing).
-    fn insert(&self, key: ChunkKey, data: CachedChunk, cost: u64) -> CachedChunk {
-        match &self.backing {
-            CacheBacking::Sticky(t) => match t.slot(key) {
-                Some(cell) => {
-                    if cell.set(data.clone()).is_ok() {
-                        self.resident.fetch_add(cost, Ordering::Relaxed);
-                        data
-                    } else {
-                        // Lost the publication race: `set` only fails once
-                        // the cell is initialized, so the winner's copy is
-                        // there to serve (fall back to ours otherwise).
-                        cell.get().cloned().unwrap_or(data)
-                    }
-                }
-                None => data,
-            },
-            CacheBacking::Bounded(core) => core.insert(shard_of(key), key, data, cost),
-        }
-    }
-
-    /// Lifetime hit count, whichever backing is active.
-    fn hit_count(&self) -> u64 {
-        match &self.backing {
-            CacheBacking::Sticky(_) => self.hits.load(Ordering::Relaxed),
-            CacheBacking::Bounded(core) => core.hit_count(),
-        }
-    }
-
-    /// Lifetime miss count, whichever backing is active.
-    fn miss_count(&self) -> u64 {
-        match &self.backing {
-            CacheBacking::Sticky(_) => self.misses.load(Ordering::Relaxed),
-            CacheBacking::Bounded(core) => core.miss_count(),
-        }
-    }
-
-    /// Lifetime eviction count (the sticky backing never evicts).
-    fn eviction_count(&self) -> u64 {
-        match &self.backing {
-            CacheBacking::Sticky(_) => 0,
-            CacheBacking::Bounded(core) => core.eviction_count(),
-        }
-    }
-
-    /// Lifetime count of chunks too costly for a shard, served uncached
-    /// (the sticky backing has no budget to exceed).
-    fn bypass_count(&self) -> u64 {
-        match &self.backing {
-            CacheBacking::Sticky(_) => 0,
-            CacheBacking::Bounded(core) => core.bypass_count(),
-        }
-    }
-
-    /// Bytes of decoded chunks currently resident.
-    fn resident_bytes(&self) -> u64 {
-        match &self.backing {
-            CacheBacking::Sticky(_) => self.resident.load(Ordering::Relaxed),
-            CacheBacking::Bounded(core) => core.resident_bytes(),
-        }
-    }
-}
-
 /// Decoded chunks pinned for the duration of one query: one slot per
 /// (section kind, attribute) stream, each holding the stream's most
 /// recently read chunk.
 ///
 /// The engine reads columns one value at a time, and consecutive values
 /// almost always share a chunk. A pinned hit is a compare and an index —
-/// no lock, no hash, no refcount — so a bounded cache is consulted once per
-/// chunk per query instead of once per value. The table lives in the
-/// session's scratch and is cleared when the query (or plan group)
+/// no lock, no hash, no refcount — so the cache is consulted once per
+/// chunk per query instead of once per value, and a response tuple is
+/// built from the pinned id and store-column chunks. The table lives in
+/// the session's scratch and is cleared when the query (or plan group)
 /// returns, so no chunk outlives its query and the extra memory is at most
 /// one chunk per stream.
 #[derive(Default)]
@@ -1680,7 +1468,7 @@ pub struct SegmentReader {
     zone_mins: Vec<Vec<Value>>,
     zone_maxs: Vec<Vec<Value>>,
     starts: Vec<Vec<u32>>,
-    cache: ChunkCache,
+    cache: ClockCacheCore<StdSync, ChunkKey, Col>,
     decoded_for: AtomicU64,
     decoded_dict: AtomicU64,
     decoded_rle: AtomicU64,
@@ -1702,11 +1490,6 @@ impl fmt::Debug for SegmentReader {
 }
 
 impl SegmentReader {
-    /// Opens a segment from `path` through a [`FileSource`].
-    pub fn open_path(path: impl AsRef<Path>) -> Result<Self, SegmentError> {
-        Self::open(Box::new(FileSource::open(path)?))
-    }
-
     /// Opens a segment from any [`BlockSource`] with default options.
     pub fn open(source: Box<dyn BlockSource>) -> Result<Self, SegmentError> {
         Self::open_with(source, SegmentOpenOptions::default())
@@ -1902,7 +1685,11 @@ impl SegmentReader {
             zone_mins: Vec::new(),
             zone_maxs: Vec::new(),
             starts: Vec::new(),
-            cache: ChunkCache::new(m, chunks, has_perm, options.cache_budget),
+            cache: ClockCacheCore::new(
+                CACHE_SHARDS,
+                options.cache_budget.unwrap_or(u64::MAX),
+                false,
+            ),
             decoded_for: AtomicU64::new(0),
             decoded_dict: AtomicU64::new(0),
             decoded_rle: AtomicU64::new(0),
@@ -1968,16 +1755,6 @@ impl SegmentReader {
     /// ranker exposed a deterministic total order).
     pub fn has_perm(&self) -> bool {
         self.has_perm
-    }
-
-    /// Values per lazily-hydrated chunk.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk
-    }
-
-    /// Total size of the backing source in bytes.
-    pub fn bytes_on_disk(&self) -> u64 {
-        self.source.len()
     }
 
     fn chunks(&self) -> usize {
@@ -2106,45 +1883,6 @@ impl SegmentReader {
         })
     }
 
-    /// A resident sticky chunk, borrowed in place — no `Arc` traffic, no
-    /// counter — or `None` under the bounded backing / for a cold chunk.
-    /// The warm-query fast paths (`u32_at`, the zone-block reader, tuple
-    /// sharing) sit on the engine's innermost loops, where an atomic per
-    /// value costs an order of magnitude; sticky cells are immutable once
-    /// initialized and never evicted, so the borrow is sound for the
-    /// reader's lifetime.
-    #[inline]
-    fn sticky_col(&self, kind: u8, attr: u32, c: usize) -> Option<&Col> {
-        if let CacheBacking::Sticky(t) = &self.cache.backing {
-            let key = ChunkKey {
-                kind,
-                attr,
-                chunk: cast::to_u32(c),
-            };
-            if let Some(CachedChunk::Col(v)) = t.slot(key).and_then(|cell| cell.get()) {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// Chunk `c` of the `(kind, attr)` stream: a resident sticky chunk is
-    /// borrowed in place (inlined into the per-value accessors); otherwise
-    /// the stream's pinned chunk serves (see [`SegmentReader::pin`]).
-    #[inline]
-    fn pinned<'a>(
-        &'a self,
-        pins: &'a mut ChunkPins,
-        kind: u8,
-        attr: u32,
-        c: usize,
-    ) -> Result<&'a Col, SegmentError> {
-        match self.sticky_col(kind, attr, c) {
-            Some(v) => Ok(v),
-            None => self.pin(pins, kind, attr, c),
-        }
-    }
-
     /// The stream's pinned chunk if it is chunk `c`; only a different chunk
     /// is fetched through the counted cache lookup (replacing the pin).
     fn pin<'a>(
@@ -2154,12 +1892,13 @@ impl SegmentReader {
         attr: u32,
         c: usize,
     ) -> Result<&'a Col, SegmentError> {
-        // Kinds PERM..=ORDER are consecutive: one slot per attribute each.
+        // Kinds PERM..=IDS are consecutive: one slot per attribute each.
         let m = self.schema.len().max(1);
         let slot = usize::from(kind - KIND_PERM) * m + cast::to_usize(attr);
         if pins.slots.len() <= slot {
-            let len = usize::from(KIND_ORDER - KIND_PERM + 1) * m;
-            pins.slots.resize_with(len, || (usize::MAX, Col::default()));
+            let len = usize::from(KIND_IDS - KIND_PERM + 1) * m;
+            // The empty slots share one placeholder allocation.
+            pins.slots.resize(len, (usize::MAX, Col::default()));
         }
         let pin = &mut pins.slots[slot];
         if pin.0 != c {
@@ -2168,7 +1907,7 @@ impl SegmentReader {
         Ok(&pin.1)
     }
 
-    /// One `u32` value out of a chunk, through [`SegmentReader::pinned`].
+    /// One `u32` value out of a chunk, through [`SegmentReader::pin`].
     #[inline]
     fn u32_at(
         &self,
@@ -2178,7 +1917,7 @@ impl SegmentReader {
         c: usize,
         i: usize,
     ) -> Result<u32, SegmentError> {
-        Ok(cast::to_u32(self.pinned(pins, kind, attr, c)?.get(i)))
+        Ok(cast::to_u32(self.pin(pins, kind, attr, c)?.get(i)))
     }
 
     /// Chunk `c` of the `(kind, attr)` stream through the counted cache
@@ -2189,8 +1928,8 @@ impl SegmentReader {
             attr,
             chunk: cast::to_u32(c),
         };
-        if let Some(hit) = self.cache.get(key) {
-            return Ok(hit.as_col().clone());
+        if let Some(hit) = self.cache.get(shard_of(key), key) {
+            return Ok(hit);
         }
         let bytes = self.read_entry(self.entry(kind, attr, key.chunk)?)?;
         let col = self.decode_col(kind, attr, c, &bytes)?;
@@ -2201,10 +1940,7 @@ impl SegmentReader {
     /// CHUNK_OVERHEAD` — and returns the resident copy.
     fn insert_col(&self, key: ChunkKey, col: Col) -> Col {
         let cost = col.bytes() + CHUNK_OVERHEAD;
-        self.cache
-            .insert(key, CachedChunk::Col(col), cost)
-            .as_col()
-            .clone()
+        self.cache.insert(shard_of(key), key, col, cost)
     }
 
     /// Warms the cache with chunks `[first, last]` of `(kind, attr)` through
@@ -2224,7 +1960,7 @@ impl SegmentReader {
                 attr,
                 chunk: cast::to_u32(c),
             };
-            if !self.cache.contains(key) {
+            if !self.cache.contains(shard_of(key), key) {
                 wanted.push((c, self.entry(kind, attr, cast::to_u32(c))?));
             }
         }
@@ -2288,7 +2024,7 @@ impl SegmentReader {
     }
 
     /// The `len` rank-ordered values of zone block `b` on `attr`, borrowed
-    /// from a sticky or pinned chunk. Blocks never span chunks (the chunk
+    /// from the pinned chunk. Blocks never span chunks (the chunk
     /// size is a multiple of the block size).
     pub(crate) fn rank_col_block<'a>(
         &'a self,
@@ -2299,7 +2035,7 @@ impl SegmentReader {
     ) -> Result<Lanes<'a>, SegmentError> {
         let base = b * BLOCK;
         let off = base % self.chunk;
-        let chunk = self.pinned(pins, KIND_RANK_COL, cast::to_u32(attr), base / self.chunk)?;
+        let chunk = self.pin(pins, KIND_RANK_COL, cast::to_u32(attr), base / self.chunk)?;
         Ok(chunk.lanes(off..off + len))
     }
 
@@ -2343,8 +2079,8 @@ impl SegmentReader {
         self.options.compressed_filter
     }
 
-    /// `true` if the decoded-chunk cache runs under a byte budget (bounded
-    /// backing with eviction) rather than sticky unbounded hydration.
+    /// `true` if the decoded-chunk cache runs under a byte budget (and so
+    /// may evict) rather than keeping every decoded chunk.
     pub(crate) fn cache_is_bounded(&self) -> bool {
         self.options.cache_budget.is_some()
     }
@@ -2512,7 +2248,7 @@ impl SegmentReader {
         for c in first..=last {
             let base = c * self.chunk;
             // One handle per chunk, so the callback can have the pins.
-            let chunk = self.pinned(pins, KIND_ORDER, a, c)?.clone();
+            let chunk = self.pin(pins, KIND_ORDER, a, c)?.clone();
             let range = p0.max(base) - base..p1.min(base + chunk.len()) - base;
             // The width is matched once per chunk, not once per value.
             match chunk.lanes(range) {
@@ -2526,111 +2262,41 @@ impl SegmentReader {
     }
 
     /// The hydrated tuple at store index `idx` (served straight from the
-    /// full-hydration snapshot if one exists).
-    ///
-    /// The sticky backing materializes and keeps the tuple's whole chunk on
-    /// first touch. A bounded reader builds just this tuple, from its id
-    /// and its m store-column values: a hydrated tuple chunk costs more
-    /// than a cache shard's budget at realistic widths, so building one per
-    /// call would decode thousands of tuples to return one.
-    pub(crate) fn tuple_at(&self, idx: usize) -> Result<Arc<Tuple>, SegmentError> {
+    /// full-hydration snapshot if one exists), built from its id and its m
+    /// store-column values read through `pins`: hydrating every tuple of a
+    /// chunk costs m + 1 cache lookups, not m + 1 per tuple.
+    pub(crate) fn tuple_at(
+        &self,
+        pins: &mut ChunkPins,
+        idx: usize,
+    ) -> Result<Arc<Tuple>, SegmentError> {
         if let Some(full) = self.full.get() {
             return Ok(Arc::clone(&full[idx]));
         }
         let (c, i) = (idx / self.chunk, idx % self.chunk);
-        if self.cache_is_bounded() {
-            let id = self.col_chunk(KIND_IDS, 0, c)?.get(i);
-            let values = (0..self.schema.len())
-                .map(|attr| {
-                    let col = self.col_chunk(KIND_STORE_COL, cast::to_u32(attr), c)?;
-                    Ok(cast::to_u32(col.get(i)))
-                })
-                .collect::<Result<Vec<Value>, SegmentError>>()?;
-            return Ok(Arc::new(Tuple::new(id, values)));
-        }
-        if let Some(t) = self.sticky_tuples(c) {
-            return Ok(Arc::clone(&t[i]));
-        }
-        Ok(Arc::clone(&self.tuple_chunk(c)?[i]))
-    }
-
-    /// A resident sticky tuple chunk, borrowed in place — the zero-atomic
-    /// counterpart of [`SegmentReader::sticky_col`] for warm tuple shares
-    /// (only the returned tuple's own `Arc` is cloned).
-    fn sticky_tuples(&self, c: usize) -> Option<&[Arc<Tuple>]> {
-        if let CacheBacking::Sticky(t) = &self.cache.backing {
-            let key = ChunkKey {
-                kind: KIND_TUPLE_CACHE,
-                attr: 0,
-                chunk: cast::to_u32(c),
-            };
-            if let Some(CachedChunk::Tuples(v)) = t.slot(key).and_then(|cell| cell.get()) {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// Builds every tuple of chunk `c` from its ids and store columns.
-    fn build_tuple_chunk(&self, c: usize) -> Result<Arc<[Arc<Tuple>]>, SegmentError> {
-        let ids = self.col_chunk(KIND_IDS, 0, c)?;
-        let m = self.schema.len();
-        let mut cols: Vec<Col> = Vec::with_capacity(m);
-        for attr in 0..m {
-            cols.push(self.col_chunk(KIND_STORE_COL, cast::to_u32(attr), c)?);
-        }
-        Ok((0..self.chunk_len(c))
-            .map(|i| {
-                let values: Vec<Value> = cols.iter().map(|col| cast::to_u32(col.get(i))).collect();
-                Arc::new(Tuple::new(ids.get(i), values))
-            })
-            .collect())
-    }
-
-    /// The hydrated tuple chunk `c` of the sticky backing, built and
-    /// published on first touch.
-    fn tuple_chunk(&self, c: usize) -> Result<Arc<[Arc<Tuple>]>, SegmentError> {
-        let key = ChunkKey {
-            kind: KIND_TUPLE_CACHE,
-            attr: 0,
-            chunk: cast::to_u32(c),
-        };
-        if let Some(hit) = self.cache.get(key) {
-            return Ok(hit.as_tuples().clone());
-        }
-        let built = self.build_tuple_chunk(c)?;
-        // Rough per-tuple footprint: the Arc + Tuple headers plus the values.
-        let m = cast::to_u64(self.schema.len());
-        let cost = cast::to_u64(self.chunk_len(c)) * (48 + 4 * m) + CHUNK_OVERHEAD;
-        Ok(self
-            .cache
-            .insert(key, CachedChunk::Tuples(built), cost)
-            .as_tuples()
-            .clone())
+        let id = self.pin(pins, KIND_IDS, 0, c)?.get(i);
+        let values = (0..self.schema.len())
+            .map(|attr| self.u32_at(pins, KIND_STORE_COL, cast::to_u32(attr), c, i))
+            .collect::<Result<Vec<Value>, SegmentError>>()?;
+        Ok(Arc::new(Tuple::new(id, values)))
     }
 
     /// Hydrates every tuple and returns the contiguous snapshot — the
     /// O(n) escape hatch behind [`TupleStore::as_slice`] for segment-backed
     /// stores (scan-strategy execution, oracle ground truth, dominance
-    /// precomputation). Tuple chunks the sticky backing hydrated earlier
-    /// are reused, not re-decoded; a bounded reader builds them without
-    /// caching them. The snapshot is sticky and deliberately exempt from
-    /// the cache budget: callers receive a plain slice whose lifetime is
-    /// the reader's.
+    /// precomputation). The tuples are built chunk by chunk through one
+    /// pin table. The snapshot is kept for the reader's lifetime and is
+    /// deliberately exempt from the cache budget: callers receive a plain
+    /// slice whose lifetime is the reader's.
     pub(crate) fn hydrate_all(&self) -> Result<&[Arc<Tuple>], SegmentError> {
         if let Some(full) = self.full.get() {
             return Ok(full);
         }
-        let mut all: Vec<Arc<Tuple>> = Vec::with_capacity(self.n);
-        for c in 0..self.chunks() {
-            let chunk = if self.cache_is_bounded() {
-                self.build_tuple_chunk(c)?
-            } else {
-                self.tuple_chunk(c)?
-            };
-            all.extend(chunk.iter().cloned());
-        }
-        Ok(self.full.get_or_init(|| all.into_boxed_slice()))
+        let mut pins = ChunkPins::default();
+        let all = (0..self.n)
+            .map(|idx| self.tuple_at(&mut pins, idx))
+            .collect::<Result<Box<[Arc<Tuple>]>, SegmentError>>()?;
+        Ok(self.full.get_or_init(|| all))
     }
 
     // -- verification ------------------------------------------------------
@@ -3004,7 +2670,7 @@ mod tests {
         db.enable_access_log();
         let bytes = SegmentWriter::new().with_chunk_size(64).write(&db).unwrap();
         let queries = thrash_queries();
-        // Budgets: sticky reference, eviction-forcing, and the degenerate
+        // Budgets: unbounded reference, eviction-forcing, and the degenerate
         // decode-every-time budget 0 — all must answer identically.
         let reference = HiddenDb::open_segment_source(
             Box::new(MemSource::new(bytes.clone())),
@@ -3045,10 +2711,10 @@ mod tests {
                 assert!(stats.cache_hits > 0, "repeat queries must hit");
             }
         }
-        let sticky = reference.storage_stats().unwrap();
-        assert_eq!(sticky.cache_evictions, 0, "sticky cache never evicts");
-        assert_eq!(sticky.cache_budget, None);
-        assert!(sticky.cache_hits > 0 && sticky.cache_misses > 0);
+        let unbounded = reference.storage_stats().unwrap();
+        assert_eq!(unbounded.cache_evictions, 0, "unbounded cache never evicts");
+        assert_eq!(unbounded.cache_budget, None);
+        assert!(unbounded.cache_hits > 0 && unbounded.cache_misses > 0);
     }
 
     #[test]
@@ -3333,6 +2999,41 @@ mod tests {
                 Some(0) => assert_eq!(stats.cache_bypasses, stats.cache_misses),
                 _ => assert_eq!(stats.cache_bypasses, 0, "budget {budget:?}"),
             }
+        }
+    }
+
+    /// Hydrating a whole chunk of tuples through one pin table looks each
+    /// of its m + 1 streams (ids and the m store columns) up once, under
+    /// every budget — including 0, where nothing stays resident and every
+    /// lookup is a decoding miss.
+    #[test]
+    fn tuple_hydration_is_charged_per_chunk_not_per_tuple() {
+        let db = tiny_db();
+        let m = db.schema().len();
+        let bytes = SegmentWriter::new().with_chunk_size(64).write(&db).unwrap();
+        for budget in [None, Some(0), Some(1 << 20)] {
+            let options = match budget {
+                Some(b) => SegmentOpenOptions::new().with_cache_budget(b),
+                None => SegmentOpenOptions::new(),
+            };
+            let reader =
+                SegmentReader::open_with(Box::new(MemSource::new(bytes.clone())), options).unwrap();
+            let mut pins = ChunkPins::default();
+            // The second chunk, so the chunk-number arithmetic counts too.
+            for idx in 64..128 {
+                let t = reader.tuple_at(&mut pins, idx).unwrap();
+                assert_eq!(
+                    Tuple::clone(&t),
+                    db.oracle_tuples()[idx],
+                    "budget {budget:?}"
+                );
+            }
+            let s = reader.storage_stats();
+            assert_eq!(
+                s.cache_hits + s.cache_misses,
+                cast::to_u64(m + 1),
+                "budget {budget:?}"
+            );
         }
     }
 

@@ -17,23 +17,23 @@
 //! threads and sessions freely.
 //!
 //! Since PR 7 a store can also be **lazily backed by a persisted columnar
-//! segment** ([`crate::SegmentReader`]): tuples materialize the first time
-//! a query response touches them (per chunk, or one at a time under a
-//! cache budget), so opening a 10M-tuple segment costs O(footer) and
-//! resident memory tracks the *touched* working set, not the dataset. The public API is unchanged — `share`/`get`/indexing
-//! hydrate on demand (panicking on storage faults, which the engine
-//! precludes by using the fallible [`TupleStore::try_share`] first), and
+//! segment** ([`crate::SegmentReader`]): a tuple materializes when a query
+//! response touches it, built from the reader's cached column chunks, so
+//! opening a 10M-tuple segment costs O(footer) and resident memory tracks
+//! the *touched* working set, not the dataset. The public API is
+//! unchanged — `share`/`get`/indexing hydrate on demand (panicking on
+//! storage faults, which the engine precludes by using the fallible
+//! [`TupleStore::try_share`] first), and
 //! [`TupleStore::as_slice`]/[`TupleStore::iter`] hydrate everything once
 //! (the full-scan escape hatch for oracle consumers and the `Scan`
-//! reference strategy). Hydrated chunks are cached in the shared reader, so
-//! clones of a lazy store share every materialized tuple (a budgeted
-//! reader builds a fresh tuple per share instead).
+//! reference strategy). Decoded chunks are cached in the shared reader;
+//! each share before a full hydration builds a fresh tuple.
 
 use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
 
-use crate::segment::{SegmentError, SegmentReader};
+use crate::segment::{ChunkPins, SegmentError, SegmentReader};
 use crate::Tuple;
 
 /// Where a [`TupleStore`]'s tuples live.
@@ -41,7 +41,7 @@ use crate::Tuple;
 enum Repr {
     /// Fully materialized in RAM.
     Ram(Arc<[Arc<Tuple>]>),
-    /// Served lazily from a persisted columnar segment; hydrated chunks are
+    /// Served lazily from a persisted columnar segment; decoded chunks are
     /// cached inside the (shared) reader.
     Lazy(Arc<SegmentReader>),
 }
@@ -92,10 +92,10 @@ impl TupleStore {
 
     /// Borrows the tuple at `idx`, or `None` if out of range. On a
     /// segment-backed store this hydrates the **entire** store once (the
-    /// bounded chunk cache may evict individual chunks, so a plain borrow
-    /// can only come from the sticky full-hydration snapshot) — engine hot
-    /// paths use [`TupleStore::try_share`] instead, which serves owned
-    /// handles straight from the chunk cache.
+    /// chunk cache may evict individual chunks, so a plain borrow can only
+    /// come from the full-hydration snapshot) — engine hot paths use
+    /// [`TupleStore::try_share`] instead, which builds owned handles from
+    /// the query's pinned chunks.
     ///
     /// # Panics
     /// Panics if a segment-backed chunk fails to load (I/O error or
@@ -111,8 +111,8 @@ impl TupleStore {
     }
 
     /// Shares the tuple at `idx`: one reference-count bump, no deep clone
-    /// (plus hydration on first touch on a segment-backed store). This is
-    /// how query responses are built.
+    /// (a segment-backed store builds the tuple from its decoded chunks
+    /// until it is fully hydrated). This is how query responses are built.
     ///
     /// # Panics
     /// Panics if `idx` is out of range, or if a segment-backed chunk fails
@@ -120,16 +120,21 @@ impl TupleStore {
     pub fn share(&self, idx: usize) -> Arc<Tuple> {
         match &self.repr {
             Repr::Ram(tuples) => Arc::clone(&tuples[idx]),
-            Repr::Lazy(reader) => expect_loaded(reader.tuple_at(idx)),
+            Repr::Lazy(reader) => expect_loaded(reader.tuple_at(&mut ChunkPins::default(), idx)),
         }
     }
 
     /// Fallible [`TupleStore::share`]: surfaces segment storage faults as a
-    /// typed error instead of panicking. Infallible on a RAM store.
-    pub(crate) fn try_share(&self, idx: usize) -> Result<Arc<Tuple>, SegmentError> {
+    /// typed error instead of panicking, and reads a segment-backed tuple
+    /// through the query's `pins`. Infallible on a RAM store.
+    pub(crate) fn try_share(
+        &self,
+        pins: &mut ChunkPins,
+        idx: usize,
+    ) -> Result<Arc<Tuple>, SegmentError> {
         match &self.repr {
             Repr::Ram(tuples) => Ok(Arc::clone(&tuples[idx])),
-            Repr::Lazy(reader) => reader.tuple_at(idx),
+            Repr::Lazy(reader) => reader.tuple_at(pins, idx),
         }
     }
 
@@ -236,7 +241,10 @@ mod tests {
         let s = store();
         let shared = s.share(1);
         assert!(Arc::ptr_eq(&shared, &s.as_slice()[1]));
-        assert!(Arc::ptr_eq(&s.try_share(1).unwrap(), &s.as_slice()[1]));
+        assert!(Arc::ptr_eq(
+            &s.try_share(&mut ChunkPins::default(), 1).unwrap(),
+            &s.as_slice()[1]
+        ));
     }
 
     #[test]
